@@ -227,7 +227,17 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 				return nil, err
 			}
 			xpath := t.ImportPath + "_test"
-			tpkg, info, err := checkFiles(fset, xpath, files, ei)
+			xi := ei
+			if len(t.TestGoFiles) > 0 {
+				// In-package test files (export_test.go) may export
+				// identifiers to the external test package, so it must
+				// import the test build of its package — and of every
+				// dependency rebuilt against it.
+				if xi, err = testVariantImporter(dir, fset, exports, t.ImportPath); err != nil {
+					return nil, err
+				}
+			}
+			tpkg, info, err := checkFiles(fset, xpath, files, xi)
 			if err != nil {
 				return nil, err
 			}
@@ -238,4 +248,26 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 		}
 	}
 	return pkgs, nil
+}
+
+// testVariantImporter returns an importer for path's external test
+// package: export data of the test variants `go test` builds for it
+// ("P [path.test]": path itself with its in-package test files, and each
+// dependency recompiled against that) overrides the regular entries.
+func testVariantImporter(dir string, fset *token.FileSet, exports map[string]string, path string) (*exportImporter, error) {
+	entries, err := goList(dir, "-deps", "-export", "-test", "--", path)
+	if err != nil {
+		return nil, err
+	}
+	m := make(map[string]string, len(exports))
+	for k, v := range exports {
+		m[k] = v
+	}
+	suffix := " [" + path + ".test]"
+	for _, e := range entries {
+		if base, ok := strings.CutSuffix(e.ImportPath, suffix); ok && e.Export != "" {
+			m[base] = e.Export
+		}
+	}
+	return newExportImporter(fset, m), nil
 }

@@ -43,6 +43,26 @@ func TestLoadModulePackages(t *testing.T) {
 	}
 }
 
+// TestLoadExternalTestSeesExportTest: an external test package that
+// uses identifiers its package's export_test.go exports (sim_test calls
+// sim.CheckSegmentTable) type-checks against the test build of that
+// package, with dependencies that import it (planner) rebuilt to match.
+func TestLoadExternalTestSeesExportTest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads and type-checks module packages")
+	}
+	pkgs, err := Load("../..", []string{"./internal/sim"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pkgs {
+		if p.Path == "repro/internal/sim_test" {
+			return
+		}
+	}
+	t.Fatalf("missing package repro/internal/sim_test (got %v)", paths(pkgs))
+}
+
 func paths(pkgs []*Package) []string {
 	out := make([]string, len(pkgs))
 	for i, p := range pkgs {

@@ -80,13 +80,13 @@ var effectNames = []struct {
 // modulo arguments, and must say so in source with //rbvet:pure. Keyed
 // by types.Func.FullName.
 var memoizedRoots = map[string]string{
-	"(*repro/internal/sim.Simulator).buildSegment":   "segment LRU (sim.segs)",
-	"(*repro/internal/sim.Simulator).segmentMoments": "segment-moment LRU (sim.segMoments)",
-	"(*repro/internal/sim.segment).eval":             "segment-sample LRU (sim.segSamples)",
-	"(*repro/internal/sim.Simulator).Estimate":       "planner memo cache (Planner.memo)",
-	"(repro/internal/sim.Plan).Key":                  "plan LRU / memo keys",
-	"(*repro/internal/dag.Program).SampleInto":       "compiled programs sampled under the segment caches",
-	"(*repro/internal/dag.Program).MomentsInto":      "compiled programs moment-propagated under the segment-moment cache",
+	"(*repro/internal/sim.Simulator).buildSegment": "segment LRU (sim.segs)",
+	"(*repro/internal/sim.segment).eval":           "segment table's sample slot (segment.samples)",
+	"(*repro/internal/sim.segment).moments":        "segment table's moment slot (segment.mom)",
+	"(*repro/internal/sim.Simulator).Estimate":     "planner memo cache (Planner.memo)",
+	"(repro/internal/sim.Plan).Key":                "plan LRU / memo keys",
+	"(*repro/internal/dag.Program).SampleInto":     "compiled programs sampled into the segment table",
+	"(*repro/internal/dag.Program).MomentsInto":    "compiled programs moment-propagated into the segment table",
 }
 
 // pureExternalPkgs are standard-library packages whose functions are

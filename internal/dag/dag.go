@@ -79,8 +79,7 @@ type Graph struct {
 	// block is the current chunk of the node arena. Nodes live in
 	// fixed-capacity chunks that are never regrown, so *Node pointers
 	// stay stable while amortizing one heap allocation over
-	// graphBlockSize nodes — graph construction is the planner's
-	// cold-path allocator hot spot.
+	// graphBlockSize nodes.
 	block []Node
 	// depArena backs every node's dependency list. Growth may relocate
 	// the arena, which is safe: already-issued deps slices keep their
@@ -94,18 +93,6 @@ const graphBlockSize = 64
 
 // New returns an empty graph.
 func New() *Graph { return &Graph{} }
-
-// NewSized returns an empty graph presized for about nodes nodes and
-// deps total dependency edges. Exact counts make construction
-// allocation-flat (one block, one arena, no relocation); the graph
-// still grows past either hint correctly.
-func NewSized(nodes, deps int) *Graph {
-	return &Graph{
-		nodes:    make([]*Node, 0, nodes),
-		block:    make([]Node, 0, nodes),
-		depArena: make([]int, 0, deps),
-	}
-}
 
 // AddNode appends a node with the given dependencies and returns it.
 // It panics if a dependency refers to a node not yet added (which would

@@ -61,29 +61,32 @@ type MomentScratch struct {
 
 // reset sizes the scratch for an n-node program and clears the pass
 // state. The barrier arrays hold at most 2n+1 entries: one root, at most
-// one promotion per node, at most one fork barrier per node.
+// one promotion per node, at most one fork barrier per node. Capacity at
+// least doubles on growth, so a cold planner whose segments arrive in
+// slowly growing sizes reallocates a logarithmic number of times.
 //
 //rbvet:noalloc
 func (sc *MomentScratch) reset(n int) {
 	if cap(sc.barID) < n {
-		//rbvet:ignore noalloc — cold path: runs once per program size; steady-state passes reuse the buffers
-		sc.barID = make([]int32, n)
+		m := max(n, 2*cap(sc.barID))
+		//rbvet:ignore noalloc — cold path: runs once per doubling of the program size; steady-state passes reuse the buffers
+		sc.barID = make([]int32, m)
 		//rbvet:ignore noalloc — cold path (see above)
-		sc.promoted = make([]int32, n)
+		sc.promoted = make([]int32, m)
 		//rbvet:ignore noalloc — cold path (see above)
-		sc.rel = make([]stats.Moment, n)
+		sc.rel = make([]stats.Moment, m)
 		//rbvet:ignore noalloc — cold path (see above)
-		sc.lat = make([]stats.Moment, n)
+		sc.lat = make([]stats.Moment, m)
 		//rbvet:ignore noalloc — cold path (see above)
-		sc.barParent = make([]int32, 2*n+1)
+		sc.barParent = make([]int32, 2*m+1)
 		//rbvet:ignore noalloc — cold path (see above)
-		sc.barAbs = make([]stats.Moment, 2*n+1)
+		sc.barAbs = make([]stats.Moment, 2*m+1)
 		//rbvet:ignore noalloc — cold path (see above)
-		sc.barDepth = make([]int32, 2*n+1)
+		sc.barDepth = make([]int32, 2*m+1)
 		//rbvet:ignore noalloc — cold path (see above)
-		sc.barStamp = make([]int32, 2*n+1)
+		sc.barStamp = make([]int32, 2*m+1)
 		//rbvet:ignore noalloc — cold path (see above)
-		sc.items = make([]stats.Moment, 0, n)
+		sc.items = make([]stats.Moment, 0, m)
 	}
 	sc.barID = sc.barID[:n]
 	sc.promoted = sc.promoted[:n]

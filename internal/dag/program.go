@@ -24,12 +24,12 @@ const (
 	opDist                    // opaque: dists[aux].Sample
 )
 
-// Program is a Graph compiled into a flat structure-of-arrays form for
+// Program is a DAG in a flat structure-of-arrays form for
 // repeated Monte-Carlo sampling: dependency edges in CSR layout and
 // latency distributions as tagged-union opcodes with inline parameters.
 // Sampling a Program visits nodes in one linear pass with no per-node
 // pointer chasing and, for the built-in distribution types, no interface
-// calls. A Program is immutable after Compile and safe for concurrent use
+// calls. A Program is immutable once built and safe for concurrent use
 // by any number of goroutines (each with its own RNG and scratch buffer).
 type Program struct {
 	// depStart[i]..depStart[i+1] indexes deps, the CSR edge array of
@@ -66,49 +66,122 @@ func CompileRange(g *Graph, lo, hi int) *Program {
 	if lo < 0 || hi < lo || hi > g.Len() {
 		panic(fmt.Sprintf("dag: CompileRange [%d, %d) out of bounds for %d nodes", lo, hi, g.Len()))
 	}
-	n := hi - lo
 	edges := 0
-	for i := 0; i < n; i++ {
-		for _, d := range g.nodes[lo+i].deps {
+	for _, nd := range g.nodes[lo:hi] {
+		for _, d := range nd.deps {
 			if d >= lo {
 				edges++
 			}
 		}
 	}
+	b := NewBuilder(hi-lo, edges)
+	for _, nd := range g.nodes[lo:hi] {
+		for _, d := range nd.deps {
+			if d >= lo {
+				b.Dep(d - lo)
+			}
+		}
+		b.Add(nd.Latency)
+	}
+	return b.Program()
+}
+
+// Builder writes a Program's columns directly, node by node in
+// topological order, into storage sized exactly from the node and edge
+// counts given to NewBuilder. It is the only Program encoder: Compile
+// drives it from a Graph, and callers that know their DAG's shape (the
+// simulator's stage segments) drive it directly and never materialize
+// a Graph at all.
+//
+// A node is added by first declaring its dependencies with Dep, then
+// closing it with Add:
+//
+//	b := dag.NewBuilder(3, 2)
+//	src := b.Add(scaleLatency)
+//	b.Dep(src)
+//	mid := b.Add(initLatency)
+//	b.Dep(mid)
+//	b.Add(nil)
+//	prog := b.Program()
+type Builder struct {
+	p    *Program
+	i, e int // nodes and edges added so far
+}
+
+// NewBuilder returns a builder for a program of exactly nodes nodes and
+// edges dependency edges.
+func NewBuilder(nodes, edges int) Builder {
 	// One backing array serves every int32 column (and the edge list):
 	// programs are built in bulk on the planner's cold path, where a
 	// single allocation per program beats six.
-	back := make([]int32, 0, (n+1)+edges+3*n)
+	back := make([]int32, (nodes+1)+3*nodes+edges)
 	take := func(k int) []int32 {
-		s := len(back)
-		back = back[:s+k]
-		return back[s : s+k : s+k]
+		s := back[:k:k]
+		back = back[k:]
+		return s
 	}
-	p := &Program{
-		depStart: take(n + 1),
-		op:       make([]opcode, n),
-		p0:       make([]float64, 2*n),
-		aux:      take(n),
-		cnt:      take(n),
-		n:        n,
+	fl := make([]float64, 2*nodes)
+	return Builder{p: &Program{
+		depStart: take(nodes + 1),
+		aux:      take(nodes),
+		cnt:      take(nodes),
+		outdeg:   take(nodes),
+		deps:     take(edges),
+		op:       make([]opcode, nodes),
+		p0:       fl[:nodes:nodes],
+		p1:       fl[nodes:],
+		n:        nodes,
+	}}
+}
+
+// Dep records that the next node added depends on the already-added
+// node d. It panics on a forward or out-of-range reference and when the
+// declared edge count is exceeded.
+func (b *Builder) Dep(d int) {
+	if uint(d) >= uint(b.i) {
+		b.badDep(d)
 	}
-	p.p1 = p.p0[n : 2*n : 2*n]
-	p.p0 = p.p0[:n:n]
-	p.deps = take(edges)[:0]
-	for i := 0; i < n; i++ {
-		p.depStart[i] = int32(len(p.deps))
-		for _, d := range g.nodes[lo+i].deps {
-			if d >= lo {
-				p.deps = append(p.deps, int32(d-lo))
-			}
-		}
-		p.compileOp(i, g.nodes[lo+i].Latency)
+	b.p.deps[b.e] = int32(d) // past the declared edge count: out of range
+	b.e++
+}
+
+// badDep panics on an invalid dependency. It is kept out of Dep so Dep
+// stays small enough to inline into the per-edge loops.
+//
+//go:noinline
+func (b *Builder) badDep(d int) {
+	panic(fmt.Sprintf("dag: node %d depends on invalid node %d", b.i, d))
+}
+
+// Add appends a node with the given latency (nil means zero) and the
+// dependencies declared since the previous Add, returning its index. It
+// panics when the declared node count is exceeded.
+func (b *Builder) Add(latency stats.Dist) int {
+	p, i := b.p, b.i
+	if i == p.n {
+		panic("dag: Builder node count exceeded")
 	}
-	p.depStart[n] = int32(len(p.deps))
-	p.outdeg = take(n)
+	p.depStart[i+1] = int32(b.e)
+	p.compileOp(i, latency)
+	b.i++
+	return i
+}
+
+// Len returns the number of nodes added so far.
+func (b *Builder) Len() int { return b.i }
+
+// Program returns the built program. It panics unless exactly the
+// declared numbers of nodes and edges were added. The builder must not
+// be used afterwards.
+func (b *Builder) Program() *Program {
+	p := b.p
+	if b.i != p.n || b.e != len(p.deps) {
+		panic(fmt.Sprintf("dag: Builder declared %d nodes and %d edges, got %d and %d", p.n, len(p.deps), b.i, b.e))
+	}
 	for _, d := range p.deps {
 		p.outdeg[d]++
 	}
+	b.p = nil
 	return p
 }
 
@@ -116,6 +189,8 @@ func CompileRange(g *Graph, lo, hi int) *Program {
 func (p *Program) compileOp(i int, d stats.Dist) {
 	p.aux[i] = -1
 	switch v := d.(type) {
+	case nil:
+		p.op[i] = opDet
 	case stats.Deterministic:
 		p.op[i] = opDet
 		p.p0[i] = v.Value

@@ -105,6 +105,49 @@ func TestCompileRangeBounds(t *testing.T) {
 	}
 }
 
+// TestBuilderRejectsMalformedPrograms: a forward dependency, and node or
+// edge counts other than the declared ones, panic instead of producing a
+// program with unfilled columns.
+func TestBuilderRejectsMalformedPrograms(t *testing.T) {
+	for name, build := range map[string]func(){
+		"forward dep": func() {
+			b := NewBuilder(2, 1)
+			b.Dep(0)
+		},
+		"extra edge": func() {
+			b := NewBuilder(2, 1)
+			b.Add(nil)
+			b.Dep(0)
+			b.Dep(0)
+		},
+		"extra node": func() {
+			b := NewBuilder(1, 0)
+			b.Add(nil)
+			b.Add(nil)
+		},
+		"missing node": func() {
+			b := NewBuilder(2, 0)
+			b.Add(nil)
+			b.Program()
+		},
+		"missing edge": func() {
+			b := NewBuilder(2, 1)
+			b.Add(nil)
+			b.Add(nil)
+			b.Program()
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			build()
+		}()
+	}
+}
+
 // TestProgramSampleZeroAlloc: with a warm scratch buffer, sampling the
 // compiled program allocates nothing.
 func TestProgramSampleZeroAlloc(t *testing.T) {

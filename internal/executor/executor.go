@@ -202,6 +202,15 @@ type run struct {
 	err               error
 }
 
+// escalateLosses is the number of gangs a trial may lose in one stage
+// while recovering by stage replay (rollback to its stage-start
+// checkpoint). After that many losses it checkpoints after every
+// iteration, so each later loss costs at most one iteration. The bound
+// caps the replays a stage can waste; it equals the most gangs one
+// trial of the pinned seed-1 chaos corpus loses in a stage, so that
+// corpus recovers by stage replay alone.
+const escalateLosses = 4
+
 // restartEntry is one preempted trial queued for recovery.
 type restartEntry struct {
 	id    trial.ID
@@ -428,12 +437,6 @@ func (r *run) beginTraining() {
 		return
 	}
 
-	nodes := r.cfg.Cluster.Nodes()
-	r.nodeByID = make(map[cluster.NodeID]*cluster.Node, len(nodes))
-	for _, n := range nodes {
-		r.nodeByID[n.ID] = n
-	}
-
 	per := sim.GPUsPerTrial(alloc, st.Trials)
 	runnable := surv
 	r.queue = nil
@@ -481,7 +484,7 @@ func (r *run) beginTraining() {
 	r.tr.Record(start, trace.KindStageStart, r.stage, -1, note)
 
 	for _, t := range runnable {
-		r.startTrial(t, st.Iters, r.stage > 0)
+		r.startTrial(t, r.stage > 0)
 	}
 }
 
@@ -495,19 +498,36 @@ func (r *run) cumItersBefore(stage int) int {
 	return total
 }
 
+// stageEndIters returns the cumulative iterations a survivor has
+// executed once it finishes the current stage.
+func (r *run) stageEndIters() int {
+	return r.cumItersBefore(r.stage) + r.cfg.Spec.Stage(r.stage).Iters
+}
+
 // place computes the placement for the current allocs, either through the
 // placement controller (co-locating) or by deliberate scattering (the
 // ablation baseline).
+//
+// The node view usage metering reads is refreshed from the same ready
+// set here, so every node a placement can name is in it: ready nodes
+// change between placements (preemption replacements arrive whether or
+// not the preemption hit a running trial), and a slot hand-off may
+// place a queued trial onto one that arrived since the last placement.
 func (r *run) place() error {
 	allocs := r.allocsMap()
+	nodes := r.cfg.Cluster.Nodes()
+	r.nodeByID = make(map[cluster.NodeID]*cluster.Node, len(nodes))
+	for _, n := range nodes {
+		r.nodeByID[n.ID] = n
+	}
 	if r.cfg.DisablePlacement {
-		r.plan = scatter(allocs, r.cfg.Cluster.Nodes(), r.plan)
+		r.plan = scatter(allocs, nodes, r.plan)
 		if r.plan == nil {
 			return fmt.Errorf("executor: scatter placement failed")
 		}
 		return nil
 	}
-	plan, err := r.ctrl.Update(allocs, r.cfg.Cluster.Nodes())
+	plan, err := r.ctrl.Update(allocs, nodes)
 	if err != nil {
 		return err
 	}
@@ -579,9 +599,10 @@ func scatter(allocs map[placement.TrialID]int, nodes []*cluster.Node, prev place
 }
 
 // startTrial starts (or resumes) a trial for the current stage and
-// schedules its iterations. withRestore adds the checkpoint-fetch latency
-// (stage migrations and preemption recoveries).
-func (r *run) startTrial(t *trial.Trial, iters int, withRestore bool) {
+// schedules the iterations left between its restored progress and the
+// stage's budget. withRestore adds the checkpoint-fetch latency (stage
+// migrations and preemption recoveries).
+func (r *run) startTrial(t *trial.Trial, withRestore bool) {
 	asg := r.plan[placement.TrialID(t.ID())]
 	gpus, nodes := asg.GPUs(), asg.Nodes()
 	if err := t.Start(gpus, nodes); err != nil {
@@ -600,19 +621,28 @@ func (r *run) startTrial(t *trial.Trial, iters int, withRestore bool) {
 		restore = r.cfg.RestoreSeconds
 		r.tr.Record(now, trace.KindRestore, r.stage, int(t.ID()), "")
 	}
-	// Persist a stage-start checkpoint so a preemption mid-stage can
-	// recover by replaying only this stage.
+	// Persist a start checkpoint so a preemption mid-stage can recover
+	// by replaying at most this stage.
+	if !r.checkpoint(t) {
+		return
+	}
+	r.tr.RecordGang(now, trace.KindTrialStart, r.stage, int(t.ID()), gpus, nodes,
+		fmt.Sprintf("%d GPUs on %d nodes", gpus, nodes))
+	r.soa.left[t.ID()] = int32(r.stageEndIters() - t.CumIters())
+	r.cfg.Clock.AtOp(now+vclock.Time(restore), r.dispID, opBegin,
+		packTrial(t.ID(), r.soa.gen[t.ID()]), 0)
+}
+
+// checkpoint persists the trial's current state to the store, failing
+// the run (and reporting false) if the trial cannot be checkpointed.
+func (r *run) checkpoint(t *trial.Trial) bool {
 	ck, err := t.Checkpoint()
 	if err != nil {
 		r.fail(err)
-		return
+		return false
 	}
 	r.store.Put(ck)
-	r.tr.RecordGang(now, trace.KindTrialStart, r.stage, int(t.ID()), gpus, nodes,
-		fmt.Sprintf("%d GPUs on %d nodes", gpus, nodes))
-	r.soa.left[t.ID()] = int32(iters)
-	r.cfg.Clock.AtOp(now+vclock.Time(restore), r.dispID, opBegin,
-		packTrial(t.ID(), r.soa.gen[t.ID()]), 0)
+	return true
 }
 
 // runIteration schedules one training iteration of the trial: it draws
@@ -677,6 +707,9 @@ func (r *run) iterEnd(id trial.ID, dur float64) {
 	}
 	r.soa.left[id]--
 	if r.soa.left[id] > 0 {
+		if r.soa.losses[id] >= escalateLosses && !r.checkpoint(t) {
+			return
+		}
 		r.runIteration(id)
 		return
 	}
@@ -715,7 +748,7 @@ func (r *run) doReplan(reason replan.Reason) {
 // any preemption-recovery restart, plus a full budget per queued wave.
 func (r *run) remainingStageIters() int {
 	st := r.cfg.Spec.Stage(r.stage)
-	end := r.cumItersBefore(r.stage) + st.Iters
+	end := r.stageEndIters()
 	left := 0
 	for _, t := range r.trials {
 		if t.State() != trial.Running || r.soa.done[t.ID()] {
@@ -765,7 +798,7 @@ func (r *run) trialStageDone(t *trial.Trial) {
 				next = cand
 			}
 		}
-		r.startTrial(next, r.cfg.Spec.Stage(r.stage).Iters, r.stage > 0)
+		r.startTrial(next, r.stage > 0)
 	}
 
 	if r.remaining == 0 {
@@ -826,6 +859,13 @@ func (r *run) onPreemption(node *cluster.Node) {
 			r.fail(err)
 			return
 		}
+		// Count the loss: past escalateLosses the trial checkpoints
+		// every iteration, so a gang that rarely outlives a whole stage
+		// (one trial spread over many single-GPU spot nodes) still makes
+		// progress instead of replaying the stage forever.
+		if r.soa.losses[id] < math.MaxUint8 {
+			r.soa.losses[id]++
+		}
 		r.pendingRestart = append(r.pendingRestart, restartEntry{
 			id:    id,
 			alloc: r.soa.allocOf(id),
@@ -851,11 +891,6 @@ func (r *run) recoverPreempted() {
 	pending := r.pendingRestart
 	r.pendingRestart = nil
 
-	nodes := r.cfg.Cluster.Nodes()
-	r.nodeByID = make(map[cluster.NodeID]*cluster.Node, len(nodes))
-	for _, n := range nodes {
-		r.nodeByID[n.ID] = n
-	}
 	for _, e := range pending {
 		r.soa.setAlloc(e.id, e.alloc)
 	}
@@ -863,9 +898,8 @@ func (r *run) recoverPreempted() {
 		r.fail(err)
 		return
 	}
-	iters := r.cfg.Spec.Stage(r.stage).Iters
 	for _, e := range pending {
-		r.startTrial(r.trials[int(e.id)], iters, true)
+		r.startTrial(r.trials[int(e.id)], true)
 	}
 }
 

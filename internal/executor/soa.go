@@ -25,6 +25,11 @@ type trialSoA struct {
 	// done marks trials that finished their stage budget and are idling
 	// at the barrier (their work survives preemption).
 	done []bool
+	// losses counts the running gangs each trial lost in the current
+	// stage; from escalateLosses on, the trial checkpoints after every
+	// iteration, so a further loss rolls back one iteration, not the
+	// whole stage.
+	losses []uint8
 	// slots counts trials with alloc >= 0; doneCount counts done trials.
 	slots     int
 	doneCount int
@@ -35,17 +40,19 @@ func (s *trialSoA) init(n int) {
 	s.alloc = make([]int32, n)
 	s.left = make([]int32, n)
 	s.done = make([]bool, n)
+	s.losses = make([]uint8, n)
 	for i := range s.alloc {
 		s.alloc[i] = -1
 	}
 }
 
-// resetStage clears the per-stage columns (allocations and barrier
-// marks); generations persist for the whole run.
+// resetStage clears the per-stage columns (allocations, barrier marks
+// and loss counts); generations persist for the whole run.
 func (s *trialSoA) resetStage() {
 	for i := range s.alloc {
 		s.alloc[i] = -1
 		s.done[i] = false
+		s.losses[i] = 0
 		s.left[i] = 0
 	}
 	s.slots, s.doneCount = 0, 0
@@ -104,6 +111,9 @@ func (s *trialSoA) fold() uint64 {
 			mix(1)
 		} else {
 			mix(0)
+		}
+		if s.losses[i] > 0 {
+			mix(uint64(s.losses[i]) << 8) // zero without preemption, so preemption-free folds are unchanged
 		}
 	}
 	return h

@@ -18,7 +18,9 @@ func FuzzEndToEnd(f *testing.F) {
 	f.Add(uint64(4), uint64(17))  // drift classified infeasible, replan declines
 	f.Add(uint64(4), uint64(143)) // preemption-triggered replan
 	f.Fuzz(func(t *testing.T, seed, rawIndex uint64) {
-		index := int(rawIndex % 1024)
+		// Indices wrap at 2^16, wide enough for the long-run batch
+		// reproducers the corpus pins (stale-node-view-*, stage-replay-livelock-*).
+		index := int(rawIndex % (1 << 16))
 		sc := Generate(seed, index)
 		a, err := RunScenario(sc)
 		if err != nil {

@@ -167,6 +167,39 @@ func TestHarnessCatchesScatterRegression(t *testing.T) {
 	}
 }
 
+// TestChaosDefectRegressions pins the long-run chaos scenarios that
+// aborted the pipeline:
+//
+//   - "trial N placed on missing node M": a preemption that hit no
+//     running trial left the executor's node view stale, so a later slot
+//     hand-off placed a queued trial on the replacement node and usage
+//     metering could not find it (scatter mode with preemptions);
+//   - "event budget exhausted (livelock?)": a single-trial stage spread
+//     over many single-GPU spot nodes almost never outlived a full stage
+//     replay, so recovery from the stage-start checkpoint never finished.
+func TestChaosDefectRegressions(t *testing.T) {
+	for _, c := range []struct {
+		seed  uint64
+		index int
+	}{
+		{3, 17613}, {205, 8537}, {107, 41820}, // missing node
+		{29, 26914}, {201, 10909}, {106, 40665}, {108556882, 38588}, // livelock
+	} {
+		sc := Generate(c.seed, c.index)
+		a, err := RunScenario(sc)
+		if err != nil {
+			t.Errorf("seed %d index %d: %v\n  %s", c.seed, c.index, err, sc)
+			continue
+		}
+		if a.Result.Preemptions == 0 {
+			t.Errorf("seed %d index %d: generator drifted, no preemption\n  %s", c.seed, c.index, sc)
+		}
+		for _, v := range CheckAll(a, DefaultOracles()) {
+			t.Errorf("seed %d index %d: %s\n  %s", c.seed, c.index, v, sc)
+		}
+	}
+}
+
 func TestPipelineErrorReported(t *testing.T) {
 	// A scenario whose run aborts must surface an error, not pass.
 	sc := Generate(1, 0)

@@ -23,36 +23,44 @@ type segMoment struct {
 	ok                      bool
 }
 
-// segmentMoments returns the segment's analytic moments, filling and
-// caching them on a miss. The value is a pure function of the segment
-// (itself a pure function of the simulator configuration and the key),
-// so benign double computation under concurrent misses is harmless.
-// sc is the caller's scratch for the propagation pass.
+// segmentMoments returns the segment's analytic moments, filling its
+// slot on first use. The value is a pure function of the segment (itself
+// a pure function of the simulator configuration and the key), so benign
+// double computation under concurrent misses is harmless. sc is the
+// caller's scratch for the propagation pass.
 //
 //rbvet:pure
 func (s *Simulator) segmentMoments(sg *segment, sc *dag.MomentScratch) segMoment {
 	s.mu.Lock()
-	v, ok := s.segMoments.get(sg.key)
+	v, ok := sg.mom, sg.momFilled
 	s.mu.Unlock()
 	if ok {
 		return v
 	}
-	mk, okm := sg.prog.MomentsInto(sc)
-	v = segMoment{ok: okm}
-	if okm {
-		v.dur = mk
-		if sg.scaleIdx >= 0 {
-			v.scaleFin = sc.Finish(sg.scaleIdx)
-		}
-		// Training GPU-time is the sum of the (independent) train-node
-		// latencies; moments add.
-		for i := sg.trainLo; i < sg.trainHi; i++ {
-			v.trainSec = v.trainSec.AddIndep(sc.Latency(i))
-		}
-	}
+	v = sg.moments(sc)
 	s.mu.Lock()
-	s.segMoments.put(sg.key, v)
+	sg.mom, sg.momFilled = v, true
 	s.mu.Unlock()
+	return v
+}
+
+// moments propagates the segment's analytic moments through its program.
+//
+//rbvet:pure
+func (sg *segment) moments(sc *dag.MomentScratch) segMoment {
+	mk, ok := sg.prog.MomentsInto(sc)
+	if !ok {
+		return segMoment{}
+	}
+	v := segMoment{dur: mk, ok: true}
+	if sg.scaleIdx >= 0 {
+		v.scaleFin = sc.Finish(sg.scaleIdx)
+	}
+	// Training GPU-time is the sum of the (independent) train-node
+	// latencies; moments add.
+	for i := sg.trainLo; i < sg.trainHi; i++ {
+		v.trainSec = v.trainSec.AddIndep(sc.Latency(i))
+	}
 	return v
 }
 
@@ -74,17 +82,16 @@ type AnalyticEval struct {
 	sc     dag.MomentScratch
 	groups []birthGroup
 	moms   []segMoment
-	// plans is a per-evaluator view of the simulator's plan compilation,
-	// keyed by the same encoding as Plan.Key but probed through a reused
-	// byte buffer so a warm evaluation allocates nothing. It only ever
-	// holds pointers the shared LRU also produced (pure values), and its
-	// size is bounded by the frontiers one evaluator scores.
-	plans map[string]*compiledPlan
-	// scores memoizes whole evaluations under the same key: Estimate is
-	// deterministic, so a repeat call returns the cached (Estimate, ok)
-	// pair from one map probe without touching the moment caches at all.
-	// Both maps are dropped together past maxAnalyticCached entries, a
-	// backstop no planner frontier approaches.
+	// cp is the candidate being scored, resolved straight to its
+	// segments in the simulator's segment table; its slice is reused
+	// across candidates.
+	cp compiledPlan
+	// scores memoizes whole evaluations under the Plan.Key encoding,
+	// probed through a reused byte buffer: Estimate is deterministic, so
+	// a repeat call returns the cached (Estimate, ok) pair from one map
+	// probe without touching the segment table at all. The map is
+	// dropped past maxAnalyticCached entries, a backstop no planner
+	// frontier approaches.
 	scores map[string]analyticScore
 	key    []byte
 }
@@ -96,7 +103,7 @@ type analyticScore struct {
 	ok  bool
 }
 
-// maxAnalyticCached bounds the per-evaluator plan and score maps.
+// maxAnalyticCached bounds the per-evaluator score map.
 const maxAnalyticCached = 1 << 14
 
 // NewAnalyticEval returns a fresh analytic evaluator bound to s.
@@ -106,10 +113,10 @@ func (s *Simulator) NewAnalyticEval() *AnalyticEval {
 
 // AcquireAnalyticEval returns an analytic evaluator from the simulator's
 // pool, creating one when none is idle. Pair it with ReleaseAnalyticEval
-// so the evaluator's warm caches (compiled plans, memoized scores) carry
-// over to the next acquirer — this is what keeps repeated planner
-// searches over one simulator at map-probe cost. Evaluations are pure,
-// so reuse can never change a result.
+// so the evaluator's warm score memo carries over to the next acquirer —
+// this is what keeps repeated planner searches over one simulator at
+// map-probe cost. Evaluations are pure, so reuse can never change a
+// result.
 func (s *Simulator) AcquireAnalyticEval() *AnalyticEval {
 	if e, _ := s.anaPool.Get().(*AnalyticEval); e != nil {
 		return e
@@ -142,17 +149,9 @@ func (e *AnalyticEval) Estimate(p Plan) (Estimate, bool, error) {
 	if s, hit := e.scores[string(e.key)]; hit { // no allocation: direct map probe
 		return s.est, s.ok, nil
 	}
-	cp := e.plans[string(e.key)]
-	if cp == nil {
-		var err error
-		cp, err = e.sim.compile(p)
-		if err != nil {
-			return Estimate{}, false, err
-		}
-		if e.plans == nil {
-			e.plans = make(map[string]*compiledPlan)
-		}
-		e.plans[string(e.key)] = cp
+	cp := &e.cp
+	if err := e.sim.resolve(p, cp); err != nil {
+		return Estimate{}, false, err
 	}
 	if cap(e.moms) < len(cp.segs) {
 		e.moms = make([]segMoment, len(cp.segs))
@@ -176,14 +175,11 @@ func (e *AnalyticEval) Estimate(p Plan) (Estimate, bool, error) {
 }
 
 // memoize records the just-computed outcome for the plan key currently
-// in e.key, resetting both per-evaluator maps if they have grown past
-// the backstop bound.
+// in e.key, resetting the score map if it has grown past the backstop
+// bound.
 func (e *AnalyticEval) memoize(sc analyticScore) {
-	if e.scores == nil {
+	if e.scores == nil || len(e.scores) >= maxAnalyticCached {
 		e.scores = make(map[string]analyticScore)
-	} else if len(e.scores) >= maxAnalyticCached {
-		e.scores = make(map[string]analyticScore)
-		e.plans = nil
 	}
 	e.scores[string(e.key)] = sc
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cloud"
+	"repro/internal/dag"
 	"repro/internal/model"
 	"repro/internal/spec"
 	"repro/internal/stats"
@@ -227,23 +228,33 @@ func TestCanonicalAllocSharesEverything(t *testing.T) {
 	}
 }
 
-// TestAnalyticMomentCacheReusesAcrossPlans: like the segment sample cache,
-// the moment cache is keyed by segment tuple — re-estimating a plan that
-// shares all but one stage builds exactly one new moment entry.
+// TestAnalyticMomentCacheReusesAcrossPlans: the analytic estimator
+// shares the segment table with the sampling modes — re-estimating a plan
+// that shares all but one stage adds exactly one entry, whose moments
+// fill once, on first use, and whose sample vector stays empty until a
+// sampling estimate asks for it.
 func TestAnalyticMomentCacheReusesAcrossPlans(t *testing.T) {
 	sm := modeSim(t, 10, 1, 21, EstimatorAnalytic)
 	stages := sm.Spec().NumStages()
 	if _, err := sm.Estimate(Uniform(16, stages)); err != nil {
 		t.Fatal(err)
 	}
-	before := sm.segMoments.len()
+	before := segTableKeys(sm)
 	alloc := Uniform(16, stages).Alloc
 	alloc[stages-1] = 8
 	if _, err := sm.Estimate(Plan{Alloc: alloc}); err != nil {
 		t.Fatal(err)
 	}
-	if got := sm.segMoments.len(); got != before+1 {
-		t.Fatalf("moment cache grew from %d to %d, want exactly one new entry", before, got)
+	sg := newSegment(t, sm, before)
+	if !sg.momFilled || sg.samples != nil {
+		t.Fatalf("new segment: moments filled %v, samples filled %v; want moments only", sg.momFilled, sg.samples != nil)
+	}
+	// A filled slot is served as is: a sentinel planted in it survives.
+	sentinel := segMoment{dur: stats.Moment{Mean: -1}, ok: true}
+	sg.mom = sentinel
+	var sc dag.MomentScratch
+	if got := sm.segmentMoments(sg, &sc); got != sentinel {
+		t.Fatalf("segment moments refilled after first use: %+v", got)
 	}
 }
 

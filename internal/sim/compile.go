@@ -11,7 +11,7 @@ import (
 // Cache capacities. Segments are shared across plans (a job with S stages
 // and A feasible allocations has at most S·A·|instance counts| distinct
 // segments, but the greedy planner's working set is far smaller), so the
-// segment caches are sized larger than the plan cache.
+// segment table is sized larger than the plan cache.
 const (
 	planCacheCap = 512
 	segCacheCap  = 4096
@@ -37,8 +37,12 @@ type segKey struct {
 // the billing rules. All cross-stage edges of the full execution DAG pass
 // through the single SYNC barrier closing each stage, so a segment
 // evaluates zero-based (the barrier is the implicit time-zero source) and
-// plan-level quantities recombine from per-segment samples. A segment is
-// immutable after construction and safe for concurrent use.
+// plan-level quantities recombine from per-segment samples.
+//
+// A segment is the one entry the simulator caches per segKey: its program
+// and shape are immutable after buildSegment, and its two estimate slots
+// (the Monte-Carlo sample vector and the analytic moments) fill lazily on
+// first use under Simulator.mu and are evicted together with the entry.
 type segment struct {
 	key  segKey
 	prog *dag.Program
@@ -51,6 +55,12 @@ type segment struct {
 	// trainGPUs is the per-trial GPU count shared by every node in it.
 	trainLo, trainHi int
 	trainGPUs        int
+
+	// samples is the s.samples-long sample vector, nil until filled.
+	samples []segSample
+	// mom holds the analytic moments once momFilled is set.
+	mom       segMoment
+	momFilled bool
 }
 
 // segSample is the sufficient statistic one Monte-Carlo draw of one
@@ -94,9 +104,6 @@ type compiledPlan struct {
 // pure function of the simulator's configuration and the plan, so benign
 // double computation under concurrent misses is harmless.
 func (s *Simulator) compile(p Plan) (*compiledPlan, error) {
-	if err := p.Validate(s.spec.NumStages()); err != nil {
-		return nil, err
-	}
 	key := p.Key()
 	s.mu.Lock()
 	cp, ok := s.plans.get(key)
@@ -104,20 +111,33 @@ func (s *Simulator) compile(p Plan) (*compiledPlan, error) {
 	if ok {
 		return cp, nil
 	}
-	cp = &compiledPlan{segs: make([]*segment, len(p.Alloc))}
-	prev := 0
-	for i, alloc := range p.Alloc {
-		sg := s.segmentFor(segKey{stage: i, alloc: canonAlloc(alloc, s.spec.Stage(i).Trials), prev: prev})
-		cp.segs[i] = sg
-		prev = sg.instances
-		if sg.instances > cp.maxInstances {
-			cp.maxInstances = sg.instances
-		}
+	cp = &compiledPlan{segs: make([]*segment, 0, len(p.Alloc))}
+	if err := s.resolve(p, cp); err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
 	s.plans.put(key, cp)
 	s.mu.Unlock()
 	return cp, nil
+}
+
+// resolve validates p and fills cp with its per-stage segments, reusing
+// cp.segs' capacity and building missing segments into the segment table.
+func (s *Simulator) resolve(p Plan, cp *compiledPlan) error {
+	if err := p.Validate(s.spec.NumStages()); err != nil {
+		return err
+	}
+	cp.segs, cp.maxInstances = cp.segs[:0], 0
+	prev := 0
+	for i, alloc := range p.Alloc {
+		sg := s.segmentFor(segKey{stage: i, alloc: canonAlloc(alloc, s.spec.Stage(i).Trials), prev: prev})
+		cp.segs = append(cp.segs, sg)
+		prev = sg.instances
+		if sg.instances > cp.maxInstances {
+			cp.maxInstances = sg.instances
+		}
+	}
+	return nil
 }
 
 // canonAlloc maps a stage allocation to its behavioral representative:
@@ -173,85 +193,70 @@ func (s *Simulator) segmentFor(key segKey) *segment {
 	return sg
 }
 
-// buildSegment constructs one stage's zero-based sub-DAG — mirroring the
-// stage structure of build, with the previous stage's SYNC barrier as the
-// implicit time-zero source — and compiles it to a flat program.
+// buildSegment emits one stage's zero-based sub-DAG straight into a flat
+// program — SCALE, then one INIT_INSTANCE per new instance, then one
+// TRAIN per trial, then the closing SYNC — with the previous stage's SYNC
+// barrier as the implicit time-zero source. The program is node for node
+// and edge for edge the one CompileRange yields over the stage's range of
+// BuildDAG's graph.
 //
 //rbvet:pure
 func (s *Simulator) buildSegment(key segKey) *segment {
 	st := s.spec.Stage(key.stage)
 	gpn := s.cloud.Instance.GPUs
-	var need int
-	if key.alloc >= st.Trials {
-		need = placement.NodesNeeded(st.Trials, key.alloc/st.Trials, gpn)
+	chained := key.alloc < st.Trials // single-GPU slots, queued trials chained behind them
+	var need, per int
+	if chained {
+		need, per = placement.NodesNeeded(key.alloc, 1, gpn), 1
 	} else {
-		need = placement.NodesNeeded(key.alloc, 1, gpn)
+		per = key.alloc / st.Trials
+		need = placement.NodesNeeded(st.Trials, per, gpn)
 	}
-
-	// Presize the graph: scale + inits, one train per trial, one sync;
-	// every train depends on each init (or one chained predecessor), the
-	// sync on every train.
 	grow := 0
 	if need > key.prev {
 		grow = need - key.prev
 	}
-	fan := grow
-	if fan == 0 {
-		fan = 1
+
+	// Exact sizes: scale + inits, one train per trial, one sync. Each
+	// init depends on the scale; each train on every init, or — queued
+	// behind a slot — on the slot's previous train; the sync on every
+	// train.
+	nodes, trainEdges := st.Trials+1, st.Trials*grow
+	if grow > 0 {
+		nodes += 1 + grow
 	}
-	g := dag.NewSized(grow+st.Trials+2, grow+st.Trials*fan+st.Trials)
-	scaleIdx := -1
-	var stageDeps []int
-	if need > key.prev {
-		scale := g.AddNode(dag.Scale, key.stage, -1, 0, s.cloud.Overheads.QueueDelay)
-		scaleIdx = scale.ID
-		for k := key.prev; k < need; k++ {
-			init := g.AddNode(dag.InitInstance, key.stage, -1, 0, s.cloud.Overheads.InitLatency, scale.ID)
-			stageDeps = append(stageDeps, init.ID)
+	if chained {
+		trainEdges = key.alloc*grow + st.Trials - key.alloc
+	}
+	b := dag.NewBuilder(nodes, grow+trainEdges+st.Trials)
+	sg := &segment{key: key, instances: need, scaleIdx: -1, trainGPUs: per}
+	if grow > 0 {
+		sg.scaleIdx = b.Add(s.cloud.Overheads.QueueDelay)
+		for k := 0; k < grow; k++ {
+			b.Dep(sg.scaleIdx)
+			b.Add(s.cloud.Overheads.InitLatency)
 		}
 	}
 
-	trainLo := g.Len()
-	var trainGPUs int
-	var trains []int
-	if key.alloc >= st.Trials {
-		per := key.alloc / st.Trials
-		trainGPUs = per
-		trainDist := sumIters(s.profile.IterDist(per), st.Iters)
-		for tr := 0; tr < st.Trials; tr++ {
-			n := g.AddNode(dag.Train, key.stage, tr, per, trainDist, stageDeps...)
-			trains = append(trains, n.ID)
-		}
-	} else {
-		trainGPUs = 1
-		trainDist := sumIters(s.profile.IterDist(1), st.Iters)
-		slotTail := make([]int, key.alloc)
-		for k := range slotTail {
-			slotTail[k] = -1
-		}
-		for tr := 0; tr < st.Trials; tr++ {
-			slot := tr % key.alloc
-			deps := stageDeps
-			if slotTail[slot] >= 0 {
-				deps = []int{slotTail[slot]}
+	sg.trainLo = b.Len()
+	trainDist := sumIters(s.profile.IterDist(per), st.Iters)
+	for tr := 0; tr < st.Trials; tr++ {
+		if chained && tr >= key.alloc {
+			b.Dep(sg.trainLo + tr - key.alloc)
+		} else {
+			for k := sg.scaleIdx + 1; k < sg.trainLo; k++ {
+				b.Dep(k)
 			}
-			n := g.AddNode(dag.Train, key.stage, tr, 1, trainDist, deps...)
-			slotTail[slot] = n.ID
-			trains = append(trains, n.ID)
 		}
+		b.Add(trainDist)
 	}
-	trainHi := g.Len()
-	g.AddNode(dag.Sync, key.stage, -1, 0, stats.Deterministic{Value: 0}, trains...)
-
-	return &segment{
-		key:       key,
-		prog:      dag.Compile(g),
-		instances: need,
-		scaleIdx:  scaleIdx,
-		trainLo:   trainLo,
-		trainHi:   trainHi,
-		trainGPUs: trainGPUs,
+	sg.trainHi = b.Len()
+	for tr := sg.trainLo; tr < sg.trainHi; tr++ {
+		b.Dep(tr)
 	}
+	b.Add(nil)
+	sg.prog = b.Program()
+	return sg
 }
 
 // segStream returns the root generator of a segment tuple's stream
@@ -264,25 +269,27 @@ func (s *Simulator) segStream(key segKey) *stats.RNG {
 }
 
 // segmentSamples returns the segment's s.samples-long sample vector,
-// filling and caching it on a miss. Sample k always draws from the k-th
+// filling its slot on first use. Sample k always draws from the k-th
 // stream of the tuple's family and slots are index-addressed, so the
 // vector is bit-identical at any worker count; eviction merely forces a
 // recomputation of the same values.
 func (s *Simulator) segmentSamples(sg *segment) []segSample {
 	s.mu.Lock()
-	v, ok := s.segSamples.get(sg.key)
+	v := sg.samples
 	s.mu.Unlock()
-	if ok {
+	if v != nil {
 		return v
 	}
 	v = make([]segSample, s.samples)
 	base := s.segStream(sg.key)
 	scratch := make([][]dag.Timing, s.workerSlots())
+	rngs := make([]stats.RNG, len(scratch))
 	par.ForEachWorker(s.samples, s.Workers(), func(w, k int) {
-		v[k], scratch[w] = sg.eval(base.Stream(uint64(k)), scratch[w])
+		base.StreamInto(uint64(k), &rngs[w])
+		v[k], scratch[w] = sg.eval(&rngs[w], scratch[w])
 	})
 	s.mu.Lock()
-	s.segSamples.put(sg.key, v)
+	sg.samples = v
 	s.mu.Unlock()
 	return v
 }
@@ -322,8 +329,10 @@ func (s *Simulator) sampleVectors(cp *compiledPlan, p Plan) [][]segSample {
 	}
 	base := s.planStream(p)
 	scratch := make([][]dag.Timing, s.workerSlots())
+	rngs := make([]stats.RNG, len(scratch))
 	par.ForEachWorker(s.samples, s.Workers(), func(w, k int) {
-		r := base.Stream(uint64(k))
+		r := &rngs[w]
+		base.StreamInto(uint64(k), r)
 		for i, sg := range cp.segs {
 			vecs[i][k], scratch[w] = sg.eval(r, scratch[w])
 		}

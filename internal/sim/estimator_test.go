@@ -277,15 +277,17 @@ func TestGraphSampleZeroAlloc(t *testing.T) {
 }
 
 // TestSegmentCacheReusesAcrossPlans: two plans sharing a stage tuple
-// must consult the profile only once for that tuple — the segment cache
-// is what makes greedy candidate evaluation incremental.
+// must consult the profile only once for that tuple — the segment table
+// is what makes greedy candidate evaluation incremental. A new tuple adds
+// exactly one entry, whose sample vector fills once, on first use, and
+// whose moment slot the segment estimator never touches.
 func TestSegmentCacheReusesAcrossPlans(t *testing.T) {
 	sm := modeSim(t, 10, 1, 21, EstimatorSegment)
 	stages := sm.Spec().NumStages()
 	if _, err := sm.Estimate(Uniform(16, stages)); err != nil {
 		t.Fatal(err)
 	}
-	segsBefore, samplesBefore := sm.segs.len(), sm.segSamples.len()
+	before := segTableKeys(sm)
 	// Decrement only the final stage: every earlier (stage, alloc, prev)
 	// tuple is unchanged, so exactly one new segment may be built.
 	alloc := Uniform(16, stages).Alloc
@@ -293,10 +295,37 @@ func TestSegmentCacheReusesAcrossPlans(t *testing.T) {
 	if _, err := sm.Estimate(Plan{Alloc: alloc}); err != nil {
 		t.Fatal(err)
 	}
-	if got := sm.segs.len(); got != segsBefore+1 {
-		t.Fatalf("segment cache grew from %d to %d, want exactly one new segment", segsBefore, got)
+	sg := newSegment(t, sm, before)
+	if sg.samples == nil || sg.momFilled {
+		t.Fatalf("new segment: samples filled %v, moments filled %v; want samples only", sg.samples != nil, sg.momFilled)
 	}
-	if got := sm.segSamples.len(); got != samplesBefore+1 {
-		t.Fatalf("sample cache grew from %d to %d, want exactly one new vector", samplesBefore, got)
+	if got := sm.segmentSamples(sg); &got[0] != &sg.samples[0] {
+		t.Fatal("segment sample vector refilled after first use")
 	}
+}
+
+// segTableKeys snapshots the keys of the simulator's segment table.
+func segTableKeys(sm *Simulator) map[segKey]bool {
+	keys := make(map[segKey]bool, sm.segs.len())
+	for k := range sm.segs.idx {
+		keys[k] = true
+	}
+	return keys
+}
+
+// newSegment returns the one segment-table entry absent from before,
+// failing unless exactly one entry was added.
+func newSegment(t *testing.T, sm *Simulator, before map[segKey]bool) *segment {
+	t.Helper()
+	if got := sm.segs.len(); got != len(before)+1 {
+		t.Fatalf("segment table grew from %d to %d, want exactly one new entry", len(before), got)
+	}
+	for k := range sm.segs.idx {
+		if !before[k] {
+			sg, _ := sm.segs.get(k)
+			return sg
+		}
+	}
+	t.Fatal("segment table lost an entry")
+	return nil
 }

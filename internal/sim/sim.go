@@ -27,11 +27,11 @@ type Estimate struct {
 //
 // A Simulator's configuration is immutable after construction and it is
 // safe for concurrent use by multiple goroutines. Its only mutable state
-// is a set of mutex-guarded bounded LRU caches memoizing pure
-// computations — compiled stage-segment programs, compiled plans, and
-// (under EstimatorSegment) segment sample vectors — so Estimate and
-// Breakdown remain pure functions of the simulator's configuration and
-// the plan: every Monte-Carlo draw derives a private RNG stream from the
+// is two mutex-guarded bounded LRU caches memoizing pure computations —
+// compiled plans, and the segment table of compiled stage-segment
+// programs with their lazily filled sample vectors and moments — so
+// Estimate and Breakdown remain pure functions of the simulator's
+// configuration and the plan: every Monte-Carlo draw derives a private RNG stream from the
 // construction-time seed state, keyed by (stream family, sample index),
 // and results do not depend on cache state, call order, goroutine, or
 // worker count.
@@ -53,11 +53,11 @@ type Simulator struct {
 	// mu guards the caches below. Misses are computed outside the lock
 	// and inserted last-write-wins: every cached value is a pure function
 	// of its key and the configuration, so double computation is benign.
-	mu         sync.Mutex
-	plans      *lru[string, *compiledPlan]
-	segs       *lru[segKey, *segment]
-	segSamples *lru[segKey, []segSample]
-	segMoments *lru[segKey, segMoment]
+	mu    sync.Mutex
+	plans *lru[string, *compiledPlan]
+	// segs is the segment table: one entry per segKey holding the
+	// compiled program and, once used, its sample vector and moments.
+	segs *lru[segKey, *segment]
 
 	// anaPool recycles AnalyticEval scratch for Estimate's analytic mode;
 	// evaluators are stateless between uses, so pooling only saves
@@ -100,15 +100,13 @@ func New(s *spec.ExperimentSpec, profile TrainProfile, cp CloudProfile, samples 
 		rng = stats.NewRNG(0)
 	}
 	sm := &Simulator{
-		spec:       s,
-		profile:    profile,
-		cloud:      cp,
-		samples:    samples,
-		root:       *rng,
-		plans:      newLRU[string, *compiledPlan](planCacheCap),
-		segs:       newLRU[segKey, *segment](segCacheCap),
-		segSamples: newLRU[segKey, []segSample](segCacheCap),
-		segMoments: newLRU[segKey, segMoment](segCacheCap),
+		spec:    s,
+		profile: profile,
+		cloud:   cp,
+		samples: samples,
+		root:    *rng,
+		plans:   newLRU[string, *compiledPlan](planCacheCap),
+		segs:    newLRU[segKey, *segment](segCacheCap),
 	}
 	for _, o := range opts {
 		o(sm)

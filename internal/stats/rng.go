@@ -31,11 +31,16 @@ func splitmix64(state *uint64) uint64 {
 // seed produce identical streams.
 func NewRNG(seed uint64) *RNG {
 	r := &RNG{}
+	r.seed(seed)
+	return r
+}
+
+// seed expands seed into r's state.
+func (r *RNG) seed(seed uint64) {
 	sm := seed
 	for i := range r.s {
 		r.s[i] = splitmix64(&sm)
 	}
-	return r
 }
 
 // Split derives a new independent generator from r, consuming exactly one
@@ -63,11 +68,20 @@ func (r *RNG) Split() *RNG {
 // output. Stream is safe for concurrent use as long as no goroutine
 // advances r itself.
 func (r *RNG) Stream(i uint64) *RNG {
+	child := &RNG{}
+	r.StreamInto(i, child)
+	return child
+}
+
+// StreamInto is Stream writing the i-th child generator into dst instead
+// of allocating it, so a Monte-Carlo loop can derive one stream per draw
+// into a reused generator.
+func (r *RNG) StreamInto(i uint64, dst *RNG) {
 	h := i
 	for _, w := range r.s {
 		h = splitmix64(&h) ^ w
 	}
-	return NewRNG(splitmix64(&h))
+	dst.seed(splitmix64(&h))
 }
 
 // State returns the generator's 256-bit internal state — the stream
