@@ -1,8 +1,8 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test test-race test-replan test-recovery test-serve vet lint lint-fast bench bench-plan bench-sim experiments examples repro fuzz-short clean
+.PHONY: all build test test-race test-replan test-recovery test-serve vet lint lint-fast check-imports bench bench-plan bench-sim experiments examples repro fuzz-short clean
 
-all: build vet lint test test-race test-serve
+all: build vet lint check-imports test test-race test-serve
 
 build:
 	go build ./...
@@ -22,14 +22,23 @@ lint: vet
 lint-fast:
 	go run ./cmd/rbvet -fast ./...
 
+# Import boundary: the production run path (serve, core, pipeline, the
+# rbserve command) must not depend on the chaos harness, which is a
+# test-side package that generates, drives and judges scenarios.
+check-imports:
+	@deps=$$(go list -deps ./internal/serve ./internal/core ./internal/pipeline ./cmd/rbserve) || exit 1; \
+	if echo "$$deps" | grep -qx 'repro/internal/harness'; then \
+		echo 'check-imports: production packages import repro/internal/harness'; exit 1; \
+	fi
+
 test:
 	go test ./...
 
 # Race-detector pass over the packages that fan work across goroutines
-# (Monte-Carlo sampling, candidate evaluation, stream derivation, and the
-# chaos harness's scenario fan-out).
+# (Monte-Carlo sampling, candidate evaluation, stream derivation, the run
+# pipeline, and the chaos harness's scenario fan-out).
 test-race:
-	go test -race -count=1 ./internal/sim ./internal/planner ./internal/stats ./internal/par ./internal/harness
+	go test -race -count=1 ./internal/sim ./internal/planner ./internal/stats ./internal/par ./internal/pipeline ./internal/harness
 
 # Replanning suite: the controller's unit tests, the differential
 # replan-vs-stale/zero-drift tests, and the metamorphic planner tests,

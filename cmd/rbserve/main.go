@@ -38,6 +38,20 @@ import (
 	"repro/internal/serve"
 )
 
+// Connection timeouts. A client that never finishes its request headers,
+// or parks an idle keep-alive connection, must not hold a connection
+// forever. Neither bounds a response body, so long-lived event streams
+// are unaffected.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the HTTP server rbserve listens with.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
@@ -79,7 +93,7 @@ func main() {
 		}
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: s.Handler()}
+	hs := newHTTPServer(*addr, s.Handler())
 	done := make(chan error, 1)
 	go func() { done <- hs.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "rbserve: serving on %s (capacity %d GPUs, policy %s)\n", *addr, *capacity, pol)

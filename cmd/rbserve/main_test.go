@@ -173,3 +173,17 @@ func TestStatusLatencyP99(t *testing.T) {
 		t.Fatalf("%d/%d experiments done after drain", done, len(ids))
 	}
 }
+
+// TestServerTimeouts: the server rbserve listens with bounds both how long
+// a client may take to send its request headers and how long an idle
+// keep-alive connection may linger, so a slow or silent client cannot
+// hold a connection forever.
+func TestServerTimeouts(t *testing.T) {
+	hs := newHTTPServer(":0", http.NotFoundHandler())
+	if hs.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want > 0", hs.ReadHeaderTimeout)
+	}
+	if hs.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want > 0", hs.IdleTimeout)
+	}
+}

@@ -36,6 +36,7 @@ import (
 
 	"repro/internal/fleet"
 	"repro/internal/harness"
+	"repro/internal/pipeline"
 	"repro/internal/vclock"
 )
 
@@ -172,7 +173,7 @@ func runCancel(kernel string, mk func() *vclock.Clock, backlog, ops int) CancelR
 func runScenario(kernel string, mk func() *vclock.Clock) (ScenarioResult, error) {
 	sc := harness.Generate(2, 52) // scatter regression scenario: busiest corpus member
 	start := time.Now()
-	a, err := harness.RunScenarioOnKernel(sc, mk)
+	a, err := pipeline.Run(sc, pipeline.RunConfig{NewClock: mk})
 	if err != nil {
 		return ScenarioResult{}, fmt.Errorf("%s scenario: %w", kernel, err)
 	}
@@ -181,7 +182,7 @@ func runScenario(kernel string, mk func() *vclock.Clock) (ScenarioResult, error)
 		Kernel:      kernel,
 		Steps:       a.Steps,
 		StepsPerSec: float64(a.Steps) / wall,
-		Digest:      fmt.Sprintf("%016x", uint64(harness.ComputeDigest(a))),
+		Digest:      fmt.Sprintf("%016x", uint64(pipeline.ComputeDigest(a))),
 	}, nil
 }
 

@@ -13,10 +13,10 @@ import (
 	"time"
 
 	"repro/internal/cloud"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/executor"
 	"repro/internal/model"
+	"repro/internal/pipeline"
 	"repro/internal/searchspace"
 	"repro/internal/sim"
 	"repro/internal/spec"
@@ -42,11 +42,9 @@ func main() {
 	clock := vclock.New()
 	rng := stats.NewRNG(7)
 	cp := sim.DefaultCloudProfile()
-	provider, err := cloud.NewProvider(clock, rng.Split(), cp.Pricing, cloud.DefaultOverheads(), m.Dataset.SizeGB)
-	if err != nil {
-		log.Fatal(err)
-	}
-	mgr, err := cluster.NewManager(provider, cp.Instance, clock)
+	cp.Overheads = cloud.DefaultOverheads()
+	cp.DatasetGB = m.Dataset.SizeGB
+	provider, mgr, err := pipeline.NewSubstrate(clock, rng.Split(), cp, cloud.FaultModel{})
 	if err != nil {
 		log.Fatal(err)
 	}

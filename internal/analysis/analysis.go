@@ -121,10 +121,10 @@ const ModulePath = "repro"
 
 // DeterministicCore lists the packages whose outputs must be pure
 // functions of their inputs: the Monte-Carlo simulator, the planners, the
-// placement controller, the executor and replanning controller, the
-// chaos harness and journal (whose replay digests ARE the recovery and
-// determinism oracles), and everything they depend on for plan-affecting
-// state. A wall-clock, environment, or ad-hoc-RNG read here silently
+// placement controller, the executor and replanning controller, the run
+// pipeline, the chaos harness and journal (whose replay digests ARE the
+// recovery and determinism oracles), and everything they depend on for
+// plan-affecting state. A wall-clock, environment, or ad-hoc-RNG read here silently
 // breaks run-to-run reproducibility of estimates, plans, and digests.
 var DeterministicCore = []string{
 	ModulePath + "/internal/sim",
@@ -134,6 +134,7 @@ var DeterministicCore = []string{
 	ModulePath + "/internal/stats",
 	ModulePath + "/internal/executor",
 	ModulePath + "/internal/replan",
+	ModulePath + "/internal/pipeline",
 	ModulePath + "/internal/harness",
 	ModulePath + "/internal/journal",
 	ModulePath + "/internal/vclock",

@@ -20,9 +20,9 @@ import (
 	"time"
 
 	"repro/internal/cloud"
-	"repro/internal/cluster"
 	"repro/internal/executor"
 	"repro/internal/model"
+	"repro/internal/pipeline"
 	"repro/internal/planner"
 	"repro/internal/profiler"
 	"repro/internal/searchspace"
@@ -110,7 +110,9 @@ type Experiment struct {
 	// spot preemption) into execution. The zero value is a fault-free
 	// provider, matching the paper's assumptions.
 	Faults cloud.FaultModel
-	// Trace, if set, records execution events.
+	// Trace, if set, records execution events. Only Run and Execute
+	// honour it: RunMultiJob and RunMultiJobShared return an error when it
+	// is set, because trace events carry no bracket id.
 	Trace *trace.Recorder
 }
 
@@ -230,17 +232,9 @@ func (e *Experiment) Execute(plan sim.Plan) (*executor.Result, error) {
 	if err := e.validate(); err != nil {
 		return nil, err
 	}
-	cp := e.cloudProfile()
 	clock := vclock.New()
 	rng := stats.NewRNG(e.Seed + 2)
-	provider, err := cloud.NewProvider(clock, rng.Split(), cp.Pricing, cp.Overheads, cp.DatasetGB)
-	if err != nil {
-		return nil, err
-	}
-	if err := provider.SetFaults(e.Faults); err != nil {
-		return nil, err
-	}
-	mgr, err := cluster.NewManager(provider, cp.Instance, clock)
+	provider, mgr, err := pipeline.NewSubstrate(clock, rng.Split(), e.cloudProfile(), e.Faults)
 	if err != nil {
 		return nil, err
 	}

@@ -1,11 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
-	"repro/internal/cloud"
-	"repro/internal/cluster"
 	"repro/internal/executor"
+	"repro/internal/pipeline"
 	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/stats"
@@ -37,15 +37,50 @@ type MultiResult struct {
 	BestConfig   map[string]any
 }
 
+// errMultiTrace rejects a traced multi-job: trace events carry no
+// bracket field, so one recorder shared across brackets would conflate
+// their trial IDs.
+var errMultiTrace = errors.New("core: Trace is not supported for multi-job runs (events carry no bracket id)")
+
 // RunMultiJob plans each bracket independently under the template
 // experiment's deadline and policy, then executes all brackets
 // concurrently in a single virtual timeline: one shared clock, one
 // provider and cluster manager per bracket (brackets scale independently;
 // costs aggregate). The template's Spec field is ignored; each bracket
-// supplies its own.
+// supplies its own. The template's Trace must be nil: trace events carry
+// no bracket id, so RunMultiJob returns an error rather than mix brackets
+// in one recorder.
 func (e *Experiment) RunMultiJob(brackets []*spec.ExperimentSpec) (*MultiResult, error) {
+	return e.runBrackets(brackets, 0)
+}
+
+// RunMultiJobShared is RunMultiJob on a capacity-constrained cluster:
+// the brackets still share one virtual timeline, but their stage-
+// boundary allocations are arbitrated against a single GPU capacity — a
+// bracket entering a stage exchanges its current hold for min(planned,
+// free) GPUs, never below 1, and a finished bracket releases its hold
+// for the others. This is the single-process seed of the serve control
+// plane's cross-experiment arbiter: same exchange rule, same capacity
+// invariant (Σ holds ≤ capacity after every grant), no wall clock.
+// capacity must be at least len(brackets) so every live bracket can hold
+// its 1-GPU minimum. As with RunMultiJob, Trace must be nil.
+func (e *Experiment) RunMultiJobShared(brackets []*spec.ExperimentSpec, capacity int) (*MultiResult, error) {
+	if len(brackets) > 0 && capacity < len(brackets) {
+		return nil, fmt.Errorf("core: capacity %d < %d brackets (each live bracket holds >= 1 GPU)", capacity, len(brackets))
+	}
+	return e.runBrackets(brackets, capacity)
+}
+
+// runBrackets is the multi-job body: plan every bracket, then launch
+// them all on one shared clock and step it until every bracket is done.
+// capacity 0 runs the brackets unconstrained; a positive capacity
+// arbitrates every stage boundary against the shared GPU ledger.
+func (e *Experiment) runBrackets(brackets []*spec.ExperimentSpec, capacity int) (*MultiResult, error) {
 	if len(brackets) == 0 {
 		return nil, fmt.Errorf("core: no brackets")
+	}
+	if e.Trace != nil {
+		return nil, errMultiTrace
 	}
 	// Plan every bracket first (planning is offline, §3.1).
 	plans := make([]sim.Plan, len(brackets))
@@ -66,129 +101,44 @@ func (e *Experiment) RunMultiJob(brackets []*spec.ExperimentSpec) (*MultiResult,
 	clock := vclock.New()
 	cp := e.cloudProfile()
 	jobs := make([]*executor.Job, len(brackets))
-	providers := make([]*cloud.Provider, len(brackets))
-	for i, b := range brackets {
-		seed := e.Seed + uint64(i)*7919
-		rng := stats.NewRNG(seed + 2)
-		provider, err := cloud.NewProvider(clock, rng.Split(), cp.Pricing, cp.Overheads, cp.DatasetGB)
-		if err != nil {
-			return nil, err
-		}
-		if err := provider.SetFaults(e.Faults); err != nil {
-			return nil, err
-		}
-		mgr, err := cluster.NewManager(provider, cp.Instance, clock)
-		if err != nil {
-			return nil, err
-		}
-		configs := e.Space.SampleN(stats.NewRNG(seed+3), b.TotalTrials())
-		job, err := executor.Start(executor.Config{
-			Spec:             b,
-			Plan:             plans[i],
-			Model:            e.Model,
-			Batch:            e.batch(),
-			Configs:          configs,
-			Provider:         provider,
-			Cluster:          mgr,
-			Clock:            clock,
-			RNG:              rng,
-			DisablePlacement: e.DisablePlacement,
-			RestoreSeconds:   e.RestoreSeconds,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: bracket %d: %w", i, err)
-		}
-		jobs[i] = job
-		providers[i] = provider
-	}
-
-	clock.RunUntil(func() bool {
-		for _, j := range jobs {
-			if !j.Done() {
-				return false
-			}
-		}
-		return true
-	})
-
-	return collectMulti(brackets, plans, preds, jobs, nil)
-}
-
-// RunMultiJobShared is RunMultiJob on a capacity-constrained cluster:
-// the brackets still share one virtual timeline, but their stage-
-// boundary allocations are arbitrated against a single GPU capacity — a
-// bracket entering a stage exchanges its current hold for min(planned,
-// free) GPUs, never below 1, and a finished bracket releases its hold
-// for the others. This is the single-process seed of the serve control
-// plane's cross-experiment arbiter: same exchange rule, same capacity
-// invariant (Σ holds ≤ capacity after every grant), no wall clock.
-// capacity must be at least len(brackets) so every live bracket can hold
-// its 1-GPU minimum.
-func (e *Experiment) RunMultiJobShared(brackets []*spec.ExperimentSpec, capacity int) (*MultiResult, error) {
-	if len(brackets) == 0 {
-		return nil, fmt.Errorf("core: no brackets")
-	}
-	if capacity < len(brackets) {
-		return nil, fmt.Errorf("core: capacity %d < %d brackets (each live bracket holds >= 1 GPU)", capacity, len(brackets))
-	}
-	plans := make([]sim.Plan, len(brackets))
-	preds := make([]sim.Estimate, len(brackets))
-	for i, b := range brackets {
-		be := *e
-		be.Spec = b
-		be.Seed = e.Seed + uint64(i)*7919
-		res, _, err := be.Plan()
-		if err != nil {
-			return nil, fmt.Errorf("core: bracket %d: %w", i, err)
-		}
-		plans[i] = res.Plan
-		preds[i] = res.Estimate
-	}
-
-	clock := vclock.New()
-	cp := e.cloudProfile()
-	jobs := make([]*executor.Job, len(brackets))
-	grants := make([][]int, len(brackets))
-	// holds is the shared ledger: every un-finished bracket's current GPU
-	// hold, seeded at the 1-GPU minimum. The gates below run serially on
-	// the shared virtual clock, so plain slice updates keep the invariant.
+	// holds is the shared ledger of a capacity-constrained run: every
+	// un-finished bracket's current GPU hold, seeded at the 1-GPU
+	// minimum. The gates below run serially on the shared virtual clock,
+	// so plain slice updates keep the invariant.
 	holds := make([]int, len(brackets))
 	for i := range holds {
 		holds[i] = 1
 	}
+	grants := make([][]int, len(brackets))
 	for i, b := range brackets {
 		seed := e.Seed + uint64(i)*7919
 		rng := stats.NewRNG(seed + 2)
-		provider, err := cloud.NewProvider(clock, rng.Split(), cp.Pricing, cp.Overheads, cp.DatasetGB)
-		if err != nil {
-			return nil, err
-		}
-		if err := provider.SetFaults(e.Faults); err != nil {
-			return nil, err
-		}
-		mgr, err := cluster.NewManager(provider, cp.Instance, clock)
+		provider, mgr, err := pipeline.NewSubstrate(clock, rng.Split(), cp, e.Faults)
 		if err != nil {
 			return nil, err
 		}
 		configs := e.Space.SampleN(stats.NewRNG(seed+3), b.TotalTrials())
-		idx := i
-		gate := func(stage, planned int) int {
-			free := capacity
-			for j, h := range holds {
-				if j != idx {
-					free -= h
+		var gate func(stage, planned int) int
+		if capacity > 0 {
+			idx := i
+			gate = func(stage, planned int) int {
+				free := capacity
+				for j, h := range holds {
+					if j != idx {
+						free -= h
+					}
 				}
+				g := planned
+				if g > free {
+					g = free
+				}
+				if g < 1 {
+					g = 1
+				}
+				holds[idx] = g
+				grants[idx] = append(grants[idx], g)
+				return g
 			}
-			g := planned
-			if g > free {
-				g = free
-			}
-			if g < 1 {
-				g = 1
-			}
-			holds[idx] = g
-			grants[idx] = append(grants[idx], g)
-			return g
 		}
 		job, err := executor.Start(executor.Config{
 			Spec:             b,
@@ -237,16 +187,13 @@ func collectMulti(brackets []*spec.ExperimentSpec, plans []sim.Plan, preds []sim
 		if err != nil {
 			return nil, fmt.Errorf("core: bracket %d: %w", i, err)
 		}
-		br := BracketResult{
+		out.Brackets = append(out.Brackets, BracketResult{
 			Spec:      brackets[i],
 			Plan:      plans[i],
 			Predicted: preds[i],
 			Actual:    actual,
-		}
-		if grants != nil {
-			br.Grants = grants[i]
-		}
-		out.Brackets = append(out.Brackets, br)
+			Grants:    grants[i],
+		})
 		out.TotalCost += actual.Cost
 		if actual.JCT > out.JCT {
 			out.JCT = actual.JCT

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"repro/internal/spec"
+	"repro/internal/trace"
 )
 
 func TestRunMultiJobHyperband(t *testing.T) {
@@ -160,5 +162,27 @@ func TestRunMultiJobSharedDeterministic(t *testing.T) {
 				t.Fatalf("bracket %d stage %d grants differ: %d vs %d", i, s, ga[s], gb[s])
 			}
 		}
+	}
+}
+
+// TestRunMultiJobRejectsTrace: trace events carry no bracket id, so a
+// recorder shared across brackets would conflate their trial IDs. Both
+// multi-job entry points refuse a traced template instead of silently
+// dropping the recorder, and record nothing.
+func TestRunMultiJobRejectsTrace(t *testing.T) {
+	brackets, err := spec.Hyperband(9, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := table2Experiment(t, PolicyRubberBand, 20*time.Minute, 47)
+	e.Trace = trace.New()
+	if _, err := e.RunMultiJob(brackets); !errors.Is(err, errMultiTrace) {
+		t.Errorf("RunMultiJob with Trace: err = %v, want errMultiTrace", err)
+	}
+	if _, err := e.RunMultiJobShared(brackets, 8); !errors.Is(err, errMultiTrace) {
+		t.Errorf("RunMultiJobShared with Trace: err = %v, want errMultiTrace", err)
+	}
+	if n := e.Trace.Len(); n != 0 {
+		t.Errorf("rejected multi-job recorded %d events", n)
 	}
 }

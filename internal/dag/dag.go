@@ -195,20 +195,6 @@ func (g *Graph) SampleInto(r *stats.RNG, buf []Timing) ([]Timing, float64) {
 	return timings, makespan
 }
 
-// MeanMakespan estimates the expected makespan by averaging samples draws
-// (Algorithm 1's outer loop). It panics if samples < 1.
-func (g *Graph) MeanMakespan(r *stats.RNG, samples int) float64 {
-	if samples < 1 {
-		panic("dag: MeanMakespan needs at least one sample")
-	}
-	var sum float64
-	for i := 0; i < samples; i++ {
-		_, m := g.Sample(r)
-		sum += m
-	}
-	return sum / float64(samples)
-}
-
 // CriticalPath returns the node IDs on the critical path of one sampled
 // schedule, from first to last, along with the makespan. Deterministic
 // given the timings produced by Sample.

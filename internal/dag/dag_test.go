@@ -90,34 +90,6 @@ func TestFrontier(t *testing.T) {
 	}
 }
 
-func TestMeanMakespanDeterministicGraph(t *testing.T) {
-	g := New()
-	a := g.AddNode(Scale, 0, -1, 0, det(4))
-	g.AddNode(InitInstance, 0, -1, 0, det(6), a.ID)
-	m := g.MeanMakespan(stats.NewRNG(1), 10)
-	if math.Abs(m-10) > 1e-12 {
-		t.Fatalf("mean makespan %v, want 10", m)
-	}
-}
-
-func TestMeanMakespanStochasticConverges(t *testing.T) {
-	g := New()
-	g.AddNode(Train, 0, 0, 1, stats.Normal{Mu: 10, Sigma: 1})
-	m := g.MeanMakespan(stats.NewRNG(7), 20000)
-	if math.Abs(m-10) > 0.05 {
-		t.Fatalf("mean makespan %v, want ~10", m)
-	}
-}
-
-func TestMeanMakespanPanicsOnZeroSamples(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New().MeanMakespan(stats.NewRNG(1), 0)
-}
-
 func TestStragglerRaisesExpectedMakespan(t *testing.T) {
 	// Jensen's inequality in action: the expected max of n noisy trials
 	// exceeds the max of expectations — this is why synchronization
@@ -130,7 +102,14 @@ func TestStragglerRaisesExpectedMakespan(t *testing.T) {
 			deps = append(deps, n.ID)
 		}
 		g.AddNode(Sync, 0, -1, 0, det(0), deps...)
-		return g.MeanMakespan(stats.NewRNG(3), 5000)
+		const samples = 5000
+		r := stats.NewRNG(3)
+		var sum float64
+		for i := 0; i < samples; i++ {
+			_, m := g.Sample(r)
+			sum += m
+		}
+		return sum / samples
 	}
 	low, high := makespan(0.1), makespan(3)
 	if high <= low {

@@ -6,9 +6,9 @@ import (
 
 	"repro/internal/asha"
 	"repro/internal/cloud"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/pipeline"
 	"repro/internal/searchspace"
 	"repro/internal/sim"
 	"repro/internal/spec"
@@ -87,12 +87,7 @@ func ASHA(cfg Config) (*ASHAResult, error) {
 		// ASHA on the same ladder and substrate.
 		clock := vclock.New()
 		rng := stats.NewRNG(seed + 2)
-		pricing := cp.Pricing
-		provider, err := cloud.NewProvider(clock, rng.Split(), pricing, cp.Overheads, cp.DatasetGB)
-		if err != nil {
-			return nil, err
-		}
-		mgr, err := cluster.NewManager(provider, cp.Instance, clock)
+		provider, mgr, err := pipeline.NewSubstrate(clock, rng.Split(), cp, cloud.FaultModel{})
 		if err != nil {
 			return nil, err
 		}

@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/cloud"
-	"repro/internal/cluster"
 	"repro/internal/executor"
 	"repro/internal/model"
+	"repro/internal/pipeline"
 	"repro/internal/searchspace"
 	"repro/internal/sim"
 	"repro/internal/spec"
@@ -70,20 +70,13 @@ func table1Throughput(cfg Config, gpusPerTrial int, scatter bool) (Stat, error) 
 		// held constant at every allocation.
 		clock := vclock.New()
 		rng := stats.NewRNG(cfg.Seed + 100 + seed)
-		pricing := cloud.DefaultPricing()
-		ov := cloud.Overheads{
-			QueueDelay:  stats.Deterministic{Value: 0},
-			InitLatency: stats.Deterministic{Value: 0},
-		}
-		provider, err := cloud.NewProvider(clock, rng.Split(), pricing, ov, 0)
-		if err != nil {
-			return Stat{}, err
-		}
 		it, err := cloud.DefaultCatalog().Lookup("p3.16xlarge")
 		if err != nil {
 			return Stat{}, err
 		}
-		mgr, err := cluster.NewManager(provider, it, clock)
+		// Zero provisioning overheads: nil delay distributions default to 0.
+		cp := sim.CloudProfile{Instance: it, Pricing: cloud.DefaultPricing()}
+		provider, mgr, err := pipeline.NewSubstrate(clock, rng.Split(), cp, cloud.FaultModel{})
 		if err != nil {
 			return Stat{}, err
 		}

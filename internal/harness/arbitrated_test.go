@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/journal"
+	"repro/internal/pipeline"
 )
 
 // findCapScenario returns a generated scenario carrying arbiter caps.
@@ -37,11 +38,11 @@ func TestArbitratedReplayBitIdentical(t *testing.T) {
 	// gate (the caps must not be consulted: Gate overrides them).
 	grants := a.Grants
 	i := 0
-	replayed, err := RunScenarioArbitrated(sc, func(req GrantRequest) int {
+	replayed, err := pipeline.Run(sc, RunConfig{Gate: func(req pipeline.GrantRequest) int {
 		g := grants[i].Granted
 		i++
 		return g
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestArbitratedDigestDiffersFromUngated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	squeezed, err := RunScenarioArbitrated(sc, func(req GrantRequest) int { return 1 })
+	squeezed, err := pipeline.Run(sc, RunConfig{Gate: func(req pipeline.GrantRequest) int { return 1 }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestArbitratedRejectsReplan(t *testing.T) {
 	sc := Generate(103, 0)
 	sc.ReplanEnabled = true
 	sc.ArbiterCaps = nil
-	if _, err := RunScenarioArbitrated(sc, func(req GrantRequest) int { return req.Want }); err == nil {
+	if _, err := pipeline.Run(sc, RunConfig{Gate: func(req pipeline.GrantRequest) int { return req.Want }}); err == nil {
 		t.Fatal("gate + replan accepted")
 	}
 }
@@ -151,14 +152,14 @@ func TestGatedJournalRecordsGrants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []GrantDecision
+	var got []pipeline.GrantDecision
 	for _, payload := range raw.Records {
 		rec, err := journal.DecodeRecord(payload)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if g, ok := rec.(*journal.Grant); ok {
-			got = append(got, GrantDecision{
+			got = append(got, pipeline.GrantDecision{
 				Stage: int(g.Stage), Want: int(g.Want), Granted: int(g.Granted), At: g.At,
 			})
 		}
@@ -180,8 +181,8 @@ func TestGatedJournalRecordsGrants(t *testing.T) {
 // generations.
 func TestGatedCrashRecovery(t *testing.T) {
 	sc := findCapScenario(t, 106)
-	gateFor := func(caps []int) GrantFn {
-		return func(req GrantRequest) int {
+	gateFor := func(caps []int) pipeline.GrantFn {
+		return func(req pipeline.GrantRequest) int {
 			if req.Stage < len(caps) && caps[req.Stage] < req.Want {
 				return caps[req.Stage]
 			}
@@ -192,7 +193,7 @@ func TestGatedCrashRecovery(t *testing.T) {
 	// Uninterrupted journaled reference.
 	base := journal.NewMemBackend()
 	wb := journal.NewWriter(base, 8)
-	ref, err := runWith(sc, RunConfig{Journal: wb, Gate: gateFor(sc.ArbiterCaps)})
+	ref, err := pipeline.Run(sc, RunConfig{Journal: wb, Gate: gateFor(sc.ArbiterCaps)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +208,7 @@ func TestGatedCrashRecovery(t *testing.T) {
 		crashed := journal.NewMemBackend()
 		wc := journal.NewWriter(crashed, 8)
 		wc.SetCrashPoint(seq, 0)
-		if _, err := runWith(sc, RunConfig{Journal: wc, Gate: gateFor(sc.ArbiterCaps)}); !errors.Is(err, journal.ErrCrash) {
+		if _, err := pipeline.Run(sc, RunConfig{Journal: wc, Gate: gateFor(sc.ArbiterCaps)}); !errors.Is(err, journal.ErrCrash) {
 			t.Fatalf("crash at %d: err = %v", seq, err)
 		}
 
@@ -217,14 +218,14 @@ func TestGatedCrashRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var prefix []GrantDecision
+		var prefix []pipeline.GrantDecision
 		for _, payload := range raw.Records {
 			rec, err := journal.DecodeRecord(payload)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if g, ok := rec.(*journal.Grant); ok {
-				prefix = append(prefix, GrantDecision{
+				prefix = append(prefix, pipeline.GrantDecision{
 					Stage: int(g.Stage), Want: int(g.Want), Granted: int(g.Granted), At: g.At,
 				})
 			}
@@ -241,7 +242,7 @@ func TestGatedCrashRecovery(t *testing.T) {
 		}
 		i := 0
 		live := gateFor(sc.ArbiterCaps)
-		rec, err := runWith(sc, RunConfig{Journal: w2, Gate: func(req GrantRequest) int {
+		rec, err := pipeline.Run(sc, RunConfig{Journal: w2, Gate: func(req pipeline.GrantRequest) int {
 			if i < len(prefix) {
 				g := prefix[i].Granted
 				i++

@@ -7,6 +7,7 @@ import (
 	"repro/internal/replan"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/vclock"
 )
 
 func TestGenerateIsPure(t *testing.T) {
@@ -107,7 +108,7 @@ func TestOraclesCatchMutations(t *testing.T) {
 			a.Recorder.RecordGang(0, trace.KindTrialStart, 0, 0, per+1, 1, "tampered")
 		}},
 		{"winner also killed", "no-lost-trials", func(a *Artifacts) {
-			a.Recorder.Record(a.finishedAt(), trace.KindTrialKill, a.Scenario.Spec.NumStages()-1,
+			a.Recorder.Record(vclock.Time(a.Result.JCT), trace.KindTrialKill, a.Scenario.Spec.NumStages()-1,
 				int(a.Result.BestTrial), "tampered")
 		}},
 		{"estimate past deadline", "deadline", func(a *Artifacts) {

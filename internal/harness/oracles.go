@@ -6,10 +6,12 @@ import (
 	"sort"
 
 	"repro/internal/model"
+	"repro/internal/pipeline"
 	"repro/internal/replan"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/trial"
+	"repro/internal/vclock"
 )
 
 // Violation is one invariant breach found by an oracle.
@@ -73,7 +75,7 @@ func closeTo(a, b float64) bool {
 // paid for).
 func checkCostConservation(a *Artifacts) []string {
 	var out []string
-	now := a.finishedAt()
+	now := vclock.Time(a.Result.JCT)
 	pricing := a.Scenario.Profile.Pricing
 
 	var compute, billedGPUSec float64
@@ -120,7 +122,7 @@ func checkCostConservation(a *Artifacts) []string {
 // lifetime allows, and never-billed instances must meter nothing.
 func checkUsageMetering(a *Artifacts) []string {
 	var out []string
-	now := a.finishedAt()
+	now := vclock.Time(a.Result.JCT)
 	var used float64
 	for _, in := range a.Instances {
 		used += in.GPUSecondsUsed
@@ -321,7 +323,7 @@ func checkDeadline(a *Artifacts) []string {
 // the scatter ablation (slower than the profiled co-located latency), or
 // stochastic iteration latency.
 func driftExcused(a *Artifacts) bool {
-	return a.DriftClass != DriftNone || a.Result.Preemptions > 0 ||
+	return a.DriftClass != pipeline.DriftNone || a.Result.Preemptions > 0 ||
 		a.Scenario.DisablePlacement || a.Scenario.Model.IterNoiseStd > 0
 }
 

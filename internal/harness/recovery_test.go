@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/journal"
+	"repro/internal/pipeline"
 )
 
 // sweepScenarios pins the crash-point sweep's inputs: a plain scenario
@@ -72,7 +73,7 @@ func crashAndRecover(t *testing.T, sc Scenario, interval uint64, cp CrashPoint,
 	defer crashed.Close()
 	wc := journal.NewWriter(crashed, interval)
 	wc.SetCrashPoint(cp.Seq, cp.Torn)
-	if _, err := RunScenarioJournaled(sc, wc); !errors.Is(err, journal.ErrCrash) {
+	if _, err := pipeline.Run(sc, RunConfig{Journal: wc}); !errors.Is(err, journal.ErrCrash) {
 		t.Fatalf("crash at %d/%d: run did not die (err=%v)", cp.Seq, wantRecords, err)
 	}
 
@@ -89,7 +90,7 @@ func crashAndRecover(t *testing.T, sc Scenario, interval uint64, cp CrashPoint,
 	if cp.Torn == 0 && damage != "" {
 		t.Fatalf("clean crash at %d reported damage %q", cp.Seq, damage)
 	}
-	a, err := RunScenarioJournaled(sc, w2)
+	a, err := pipeline.Run(sc, RunConfig{Journal: w2})
 	if err != nil {
 		t.Fatalf("crash at %d torn %d: recovery run: %v", cp.Seq, cp.Torn, err)
 	}
@@ -117,7 +118,7 @@ func TestCrashPointSweepMem(t *testing.T) {
 	for _, sc := range sweepScenarios() {
 		ref := journal.NewMemBackend()
 		w := journal.NewWriter(ref, interval)
-		a, err := RunScenarioJournaled(sc, w)
+		a, err := pipeline.Run(sc, RunConfig{Journal: w})
 		if err != nil {
 			t.Fatalf("reference run: %v", err)
 		}
@@ -141,7 +142,7 @@ func TestCrashPointSweepFile(t *testing.T) {
 	sc := Generate(4, 2) // replan-adopting scenario: hardest recovery
 	ref := journal.NewMemBackend()
 	w := journal.NewWriter(ref, interval)
-	a, err := RunScenarioJournaled(sc, w)
+	a, err := pipeline.Run(sc, RunConfig{Journal: w})
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
@@ -170,7 +171,7 @@ func TestCrashPointSweepFile(t *testing.T) {
 func TestReplanScenarioJournalsAdoptedDecision(t *testing.T) {
 	b := journal.NewMemBackend()
 	w := journal.NewWriter(b, 7)
-	if _, err := RunScenarioJournaled(Generate(4, 2), w); err != nil {
+	if _, err := pipeline.Run(Generate(4, 2), RunConfig{Journal: w}); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := b.Load()
@@ -206,7 +207,7 @@ func TestSnapshotIntervalInvisible(t *testing.T) {
 		want := ComputeDigest(plain)
 		for _, interval := range []uint64{1, 7, 0} {
 			w := journal.NewWriter(journal.NewMemBackend(), interval)
-			a, err := RunScenarioJournaled(sc, w)
+			a, err := pipeline.Run(sc, RunConfig{Journal: w})
 			if err != nil {
 				t.Fatalf("interval %d: %v", interval, err)
 			}
@@ -239,7 +240,7 @@ func TestResumeRefusesForeignJournal(t *testing.T) {
 	b := journal.NewMemBackend()
 	w := journal.NewWriter(b, 0)
 	w.SetCrashPoint(40, 0)
-	if _, err := RunScenarioJournaled(Generate(1, 0), w); !errors.Is(err, journal.ErrCrash) {
+	if _, err := pipeline.Run(Generate(1, 0), RunConfig{Journal: w}); !errors.Is(err, journal.ErrCrash) {
 		t.Fatalf("crash injection failed: %v", err)
 	}
 	w2, hdr, _, err := journal.Resume(b, 0)
@@ -251,7 +252,7 @@ func TestResumeRefusesForeignJournal(t *testing.T) {
 	}
 	// Re-driving a different scenario against the foreign prefix must fail
 	// loudly at the header record, before any state is trusted.
-	if _, err := RunScenarioJournaled(Generate(2, 5), w2); !errors.Is(err, journal.ErrDiverged) {
+	if _, err := pipeline.Run(Generate(2, 5), RunConfig{Journal: w2}); !errors.Is(err, journal.ErrDiverged) {
 		t.Fatalf("foreign scenario replayed against journal: err=%v, want ErrDiverged", err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cloud"
 	"repro/internal/model"
+	"repro/internal/pipeline"
 	"repro/internal/searchspace"
 	"repro/internal/sim"
 	"repro/internal/spec"
@@ -61,7 +62,7 @@ func driftScenario(t *testing.T) Scenario {
 		Samples:        4,
 		DeadlineFactor: 2.2,
 		Estimator:      sim.EstimatorSegment,
-		Drift:          DriftModel{Factor: 2.0, StartFraction: 0.15},
+		Drift:          pipeline.DriftModel{Factor: 2.0, StartFraction: 0.15},
 		ReplanEnabled:  true,
 		DriftThreshold: 0.15,
 		ReplanCooldown: 10,
@@ -81,7 +82,7 @@ func TestReplanBeatsStalePlanUnderSlowdown(t *testing.T) {
 	if !a.Planned {
 		t.Fatal("planner rejected the pinned deadline")
 	}
-	if a.DriftClass != DriftFeasible {
+	if a.DriftClass != pipeline.DriftFeasible {
 		t.Fatalf("drift class %v, want feasible (the demo needs a recoverable deadline)", a.DriftClass)
 	}
 	adopted := 0
@@ -154,13 +155,13 @@ func TestReplanDecisionsReplayable(t *testing.T) {
 }
 
 // TestReplanInfeasibleAfterDrift pins the other acceptance branch: a 3x
-// slowdown against a tight deadline is classified DriftInfeasible at plan
+// slowdown against a tight deadline is classified pipeline.DriftInfeasible at plan
 // time, every decision reports infeasibility rather than adopting a
 // false-hope tail, and the oracles accept the (correctly labeled) missed
 // deadline.
 func TestReplanInfeasibleAfterDrift(t *testing.T) {
 	sc := driftScenario(t)
-	sc.Drift = DriftModel{Factor: 3.0, StartFraction: 0.2}
+	sc.Drift = pipeline.DriftModel{Factor: 3.0, StartFraction: 0.2}
 	sc.DeadlineFactor = 1.4
 	a, err := RunScenario(sc)
 	if err != nil {
@@ -169,7 +170,7 @@ func TestReplanInfeasibleAfterDrift(t *testing.T) {
 	if !a.Planned {
 		t.Fatal("planner rejected the pinned deadline")
 	}
-	if a.DriftClass != DriftInfeasible {
+	if a.DriftClass != pipeline.DriftInfeasible {
 		t.Fatalf("drift class %v, want infeasible", a.DriftClass)
 	}
 	if len(a.Result.Replans) == 0 {

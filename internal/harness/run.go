@@ -1,533 +1,27 @@
 package harness
 
-import (
-	"errors"
-	"fmt"
+import "repro/internal/pipeline"
 
-	"repro/internal/cloud"
-	"repro/internal/cluster"
-	"repro/internal/executor"
-	"repro/internal/journal"
-	"repro/internal/planner"
-	"repro/internal/replan"
-	"repro/internal/sim"
-	"repro/internal/trace"
-	"repro/internal/vclock"
+// The run path lives in package pipeline. These names remain here because
+// the end-to-end benchmark module (e2ebench) builds against them.
+type (
+	Scenario   = pipeline.Scenario
+	Artifacts  = pipeline.Artifacts
+	RunConfig  = pipeline.RunConfig
+	Digest     = pipeline.Digest
+	FleetEvent = pipeline.FleetEvent
 )
 
-// DriftClass labels a scenario's relationship between injected drift and
-// the sampled deadline, computed at plan time from analytic bounds (no
-// Monte-Carlo). Oracles use it to tell a legitimate
-// infeasible-after-drift outcome from a planner bug.
-type DriftClass int
+// RunScenario executes one scenario end-to-end with no journal or gate.
+func RunScenario(sc Scenario) (*Artifacts, error) { return pipeline.Run(sc, RunConfig{}) }
 
-const (
-	// DriftNone means no drift was injected.
-	DriftNone DriftClass = iota
-	// DriftFeasible means drift was injected but the deadline may still
-	// be reachable under the drifted latency regime.
-	DriftFeasible
-	// DriftInfeasible means even a full static cluster at MaxGPUs running
-	// the whole job under the drifted regime would miss the deadline —
-	// no replan can save the run.
-	DriftInfeasible
-)
-
-// String renders the class for reports.
-func (d DriftClass) String() string {
-	switch d {
-	case DriftNone:
-		return "none"
-	case DriftFeasible:
-		return "feasible"
-	case DriftInfeasible:
-		return "infeasible"
-	default:
-		return fmt.Sprintf("DriftClass(%d)", int(d))
-	}
+// StartScenario builds sc's run un-driven; see pipeline.Start.
+func StartScenario(sc Scenario, rc RunConfig) (*pipeline.Running, error) {
+	return pipeline.Start(sc, rc)
 }
 
-// maxSteps bounds the number of virtual-clock events one scenario may
-// execute. The largest generated scenarios finish in well under 100k
-// events; hitting the bound means the pipeline livelocked (for example, a
-// recovery loop that no longer makes progress), which is itself a
-// reportable bug rather than a reason to hang the harness.
-const maxSteps = 2_000_000
+// ComputeDigest fingerprints the artifacts of one run.
+func ComputeDigest(a *Artifacts) Digest { return pipeline.ComputeDigest(a) }
 
-// errLivelock is returned when a scenario exhausts maxSteps.
-var errLivelock = errors.New("harness: event budget exhausted before job completion (livelock?)")
-
-// GrantRequest is one stage-boundary resource request presented to an
-// arbiter gate: the executor is about to start Stage and the live plan
-// calls for Want GPUs. Now is the virtual clock, Deadline the job
-// deadline, and PredictedRemaining the planner-predicted virtual seconds
-// of work left from this stage onward — Deadline − Now −
-// PredictedRemaining is the request's deadline slack, the quantity
-// HyperSched-style arbitration ranks by.
-type GrantRequest struct {
-	Stage              int
-	Want               int
-	Now                float64
-	Deadline           float64
-	PredictedRemaining float64
-}
-
-// GrantFn arbitrates one GrantRequest, returning the granted GPU count.
-// Grants are clamped to [1, Want]: one GPU still makes progress through
-// queued trial waves, so a gate can squeeze but never stall a stage.
-// The gate is called synchronously inside the executor's stage
-// transition, so it must not block on the run's own progress.
-type GrantFn func(GrantRequest) int
-
-// GrantDecision is one recorded arbitration outcome.
-type GrantDecision struct {
-	Stage   int
-	Want    int
-	Granted int
-	At      float64
-}
-
-// RunConfig bundles the optional knobs of a scenario run.
-type RunConfig struct {
-	// Journal, if non-nil, streams every state transition through the
-	// writer (write-ahead) exactly as RunScenarioJournaled does.
-	Journal *journal.Writer
-	// Gate, if non-nil, arbitrates every stage-boundary allocation. The
-	// decisions are recorded in Artifacts.Grants, journaled as Grant
-	// records, and folded into the digest, so a gated run is a pure
-	// function of (scenario, grant sequence). Gated scenarios must not
-	// enable the replan controller: both rewrite the live plan.
-	Gate GrantFn
-	// NewClock supplies the simulation kernel (default vclock.New).
-	NewClock func() *vclock.Clock
-}
-
-// Artifacts bundles everything a run produced that oracles inspect: the
-// plan and its prediction, the realized result, the full event trace, and
-// the provider-side billing state.
-type Artifacts struct {
-	Scenario Scenario
-	// Plan is the executed allocation plan. Planned reports whether it
-	// came from the elastic planner (true) or the 1-GPU-per-trial
-	// fallback used when the sampled deadline was infeasible.
-	Plan    sim.Plan
-	Planned bool
-	// Estimate is the planner's prediction (valid only when Planned).
-	Estimate sim.Estimate
-	// Deadline is the sampled job deadline in seconds.
-	Deadline float64
-	// Result is the realized execution outcome.
-	Result *executor.Result
-	// Recorder holds the full event trace and busy-GPU accounting.
-	Recorder *trace.Recorder
-	// Instances is the provider's complete instance ledger.
-	Instances []*cloud.Instance
-	// DataCost is the provider's accumulated ingress charge.
-	DataCost float64
-	// Retries counts provisioning requests reissued after failures.
-	Retries int
-	// GPN is the worker instance's GPU count.
-	GPN int
-	// Steps is the number of virtual-clock events executed.
-	Steps int
-	// DriftClass labels the scenario's drift-vs-deadline relationship.
-	DriftClass DriftClass
-	// Grants is the stage-boundary arbitration record of a gated run
-	// (empty for ungated runs). Replaying the same scenario under a gate
-	// that re-issues this sequence reproduces the digest bit for bit.
-	Grants []GrantDecision
-}
-
-// finishedAt returns the virtual completion instant of the run.
-func (a *Artifacts) finishedAt() vclock.Time { return vclock.Time(a.Result.JCT) }
-
-// RunScenario executes one scenario end-to-end: it builds the simulator,
-// plans under the sampled deadline (falling back to a minimal elastic
-// plan when the deadline is infeasible), wires a faulty provider and
-// cluster manager on a fresh virtual clock, and drives the executor to
-// completion. Every random stream is derived from (BatchSeed, Index), so
-// repeated calls produce bit-identical artifacts.
-func RunScenario(sc Scenario) (*Artifacts, error) { return runScenario(sc, nil) }
-
-// RunScenarioOnKernel is RunScenario on a caller-chosen simulation
-// kernel: newClock supplies the virtual clock (vclock.New for the
-// production timer wheel, vclock.NewHeap for the reference binary
-// heap). The differential kernel suite runs every corpus scenario under
-// both and requires bit-identical artifacts; everything downstream of
-// the clock is kernel-agnostic.
-func RunScenarioOnKernel(sc Scenario, newClock func() *vclock.Clock) (*Artifacts, error) {
-	return runWith(sc, RunConfig{NewClock: newClock})
-}
-
-// RunScenarioArbitrated runs sc with every stage-boundary allocation
-// arbitrated by gate — the offline replay path for multi-tenant runs: a
-// scripted gate re-issuing a recorded grant sequence reproduces the
-// server-side digest bit for bit.
-func RunScenarioArbitrated(sc Scenario, gate GrantFn) (*Artifacts, error) {
-	return runWith(sc, RunConfig{Gate: gate})
-}
-
-// runScenario is RunScenario with an optional journal writer: when jw is
-// non-nil, every executor state transition and replan decision streams
-// through it (write-ahead), snapshots are captured at its interval, and
-// a crash or divergence latched by the writer aborts the run between
-// clock steps. Journaling draws no randomness and mutates no run state,
-// so a journaled run's artifacts are bit-identical to a plain run's.
-func runScenario(sc Scenario, jw *journal.Writer) (*Artifacts, error) {
-	return runWith(sc, RunConfig{Journal: jw})
-}
-
-// runScenarioOn is the journaled kernel-parameterized entry the
-// differential suites use.
-func runScenarioOn(sc Scenario, jw *journal.Writer, newClock func() *vclock.Clock) (*Artifacts, error) {
-	return runWith(sc, RunConfig{Journal: jw, NewClock: newClock})
-}
-
-// runWith starts the scenario and drives it to completion.
-func runWith(sc Scenario, rc RunConfig) (*Artifacts, error) {
-	r, err := StartScenario(sc, rc)
-	if err != nil {
-		return nil, err
-	}
-	for !r.Done() {
-		if err := r.Step(); err != nil {
-			return nil, err
-		}
-	}
-	return r.Finish()
-}
-
-// Running is an in-flight scenario run driven by its caller: the serve
-// control plane steps many Runnings against one arbiter, and tests step
-// them in lockstep. Step/Done/Finish must be called from one goroutine;
-// the read accessors may race only with that goroutine's steps, so
-// concurrent callers (an HTTP status endpoint) must synchronize
-// externally.
-type Running struct {
-	sc       Scenario
-	a        *Artifacts
-	jw       *journal.Writer
-	clock    *vclock.Clock
-	job      *executor.Job
-	provider *cloud.Provider
-	mgr      *cluster.Manager
-	rec      *trace.Recorder
-	finished bool
-}
-
-// StartScenario builds the full pipeline for sc — simulator, plan,
-// substrate, executor — and returns it un-driven: the first Step
-// executes the first virtual-clock event. See RunConfig for the knobs.
-func StartScenario(sc Scenario, rc RunConfig) (*Running, error) {
-	jw, gate, newClock := rc.Journal, rc.Gate, rc.NewClock
-	if newClock == nil {
-		newClock = vclock.New
-	}
-	if gate == nil && len(sc.ArbiterCaps) > 0 {
-		gate = capGate(sc.ArbiterCaps)
-	}
-	if gate != nil && sc.ReplanEnabled {
-		return nil, fmt.Errorf("harness: arbitrated runs require ReplanEnabled=false (both rewrite the live plan)")
-	}
-	root := scenarioRoot(sc.BatchSeed, sc.Index)
-
-	// Plan. The simulator gets its own stream; planning runs serially so
-	// scenario-level parallelism composes without nested pools.
-	profile := sim.ModelTrainProfile{
-		Model:       sc.Model,
-		Batch:       sc.Model.BaseBatch,
-		GPUsPerNode: sc.Profile.Instance.GPUs,
-	}
-	sm, err := sim.New(sc.Spec, profile, sc.Profile, sc.Samples, root.Stream(streamSim), sim.WithWorkers(1), sim.WithEstimator(sc.Estimator))
-	if err != nil {
-		return nil, fmt.Errorf("harness: simulator: %w", err)
-	}
-	deadline := sm.StaticClusterJCT(sc.MaxGPUs) * sc.DeadlineFactor
-	p := &planner.Planner{Sim: sm, Deadline: deadline, MaxGPUs: sc.MaxGPUs, Workers: 1}
-	a := &Artifacts{Scenario: sc, Deadline: deadline, GPN: sc.Profile.Instance.GPUs}
-	if pres, perr := p.PlanElastic(); perr == nil {
-		a.Plan, a.Estimate, a.Planned = pres.Plan, pres.Estimate, true
-	} else {
-		// Infeasible deadline (or an equally deliberate planner refusal):
-		// execute the minimal elastic plan so the executor path is still
-		// exercised. The deadline oracle skips unplanned runs.
-		alloc := make([]int, sc.Spec.NumStages())
-		for i := range alloc {
-			alloc[i] = sc.Spec.Stage(i).Trials
-		}
-		a.Plan = sim.Plan{Alloc: alloc}
-	}
-
-	// Classify the injected drift against the deadline: if even the full
-	// static cluster running the whole job at the drifted latency misses
-	// the deadline, no replan can save the run and oracles must not treat
-	// an infeasible-after-drift outcome as a bug. StaticClusterJCT is
-	// analytic (means only, no Monte-Carlo), so this draws nothing.
-	if sc.Drift.Active() {
-		a.DriftClass = DriftFeasible
-		if sc.Drift.Factor > 1 {
-			dsm, derr := sim.New(sc.Spec, sim.ScaledTrainProfile{Base: profile, Factor: sc.Drift.Factor},
-				sc.Profile, sc.Samples, root.Stream(streamSim), sim.WithWorkers(1), sim.WithEstimator(sc.Estimator))
-			if derr != nil {
-				return nil, fmt.Errorf("harness: drifted simulator: %w", derr)
-			}
-			if deadline < dsm.StaticClusterJCT(sc.MaxGPUs) {
-				a.DriftClass = DriftInfeasible
-			}
-		}
-	}
-
-	// Drift injection: a step function of virtual time only, so enabling
-	// it never perturbs any RNG stream.
-	var latencyScale func(vclock.Time) float64
-	if sc.Drift.Active() {
-		onset := vclock.Time(deadline * sc.Drift.StartFraction)
-		factor := sc.Drift.Factor
-		latencyScale = func(now vclock.Time) float64 {
-			if now >= onset {
-				return factor
-			}
-			return 1
-		}
-	}
-
-	// Journal the run header before any state transition: the journal's
-	// first record pins the run's identity and the executed plan, so
-	// recovery can refuse a foreign journal before re-executing anything.
-	if jw != nil {
-		if err := jw.Record(&journal.Header{
-			BatchSeed: sc.BatchSeed,
-			Index:     int64(sc.Index),
-			Interval:  jw.Interval(),
-			Deadline:  deadline,
-			Planned:   a.Planned,
-			Alloc:     allocI64(a.Plan.Alloc),
-		}); err != nil {
-			return nil, err
-		}
-	}
-
-	// The replan controller only runs for planner-produced plans: the
-	// fallback plan is already the planner's declaration of infeasibility
-	// and there is no deadline budget to re-divide.
-	var ctl *replan.Controller
-	if sc.ReplanEnabled && a.Planned {
-		ctl, err = replan.NewController(replan.Config{
-			Spec:            sc.Spec,
-			Profile:         profile,
-			Cloud:           sc.Profile,
-			Deadline:        deadline,
-			MaxGPUs:         sc.MaxGPUs,
-			Samples:         sc.Samples,
-			Workers:         1,
-			Estimator:       sc.Estimator,
-			RNG:             root.Stream(streamReplan),
-			Threshold:       sc.DriftThreshold,
-			CooldownSeconds: sc.ReplanCooldown,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("harness: replan controller: %w", err)
-		}
-	}
-
-	// Execute on a fresh substrate. The executor and provider RNG streams
-	// are held by name so control-plane snapshots can capture their
-	// cursors (Stream is pure: these are the same streams the run uses).
-	clock := newClock()
-	execRNG := root.Stream(streamExecutor)
-	provRNG := root.Stream(streamProvider)
-	provider, err := cloud.NewProvider(clock, provRNG,
-		sc.Profile.Pricing, sc.Profile.Overheads, sc.Profile.DatasetGB)
-	if err != nil {
-		return nil, fmt.Errorf("harness: provider: %w", err)
-	}
-	if err := provider.SetFaults(sc.Faults); err != nil {
-		return nil, fmt.Errorf("harness: faults: %w", err)
-	}
-	mgr, err := cluster.NewManager(provider, sc.Profile.Instance, clock)
-	if err != nil {
-		return nil, fmt.Errorf("harness: cluster: %w", err)
-	}
-	rec := trace.New()
-
-	// Journal wiring. Observers latch errors inside the writer; the step
-	// loop below polls jw.Err so a crash or divergence inside an event
-	// callback stops the run at the next step boundary (the moral
-	// equivalent of the process dying between scheduler events). The
-	// snapshot closure must be registered before executor.Start because
-	// Start already records events; it reads through the job pointer,
-	// which is nil for those first records in every run alike.
-	var job *executor.Job
-	if jw != nil {
-		if ctl != nil {
-			ctl.SetObserver(func(d replan.Decision) { jw.Observe(decisionRecord(d)) })
-		}
-		rec.SetObserver(func(e trace.Event) { jw.Observe(journal.FromTrace(e)) })
-		jw.SetSnapshotFunc(func() *journal.Snapshot {
-			return captureSnapshot(clock, job, provider, rec, ctl, execRNG, provRNG)
-		})
-	}
-
-	// Gate wiring: the executor's stage-boundary hook computes deadline
-	// slack from planned work fractions, consults the gate, and records
-	// the decision (artifacts + journal) before applying it. Predicted
-	// remaining time scales the planned JCT by the fraction of
-	// trial-iterations not yet started — analytic, so arbitration draws
-	// no randomness.
-	var stageGate func(stage, planned int) int
-	if gate != nil {
-		total := 0.0
-		cum := make([]float64, sc.Spec.NumStages()+1)
-		for i := 0; i < sc.Spec.NumStages(); i++ {
-			st := sc.Spec.Stage(i)
-			total += float64(st.Trials * st.Iters)
-			cum[i+1] = total
-		}
-		predictedJCT := deadline
-		if a.Planned {
-			predictedJCT = a.Estimate.JCT
-		}
-		stageGate = func(stage, planned int) int {
-			now := float64(clock.Now())
-			remaining := predictedJCT
-			if total > 0 {
-				remaining = predictedJCT * (total - cum[stage]) / total
-			}
-			g := gate(GrantRequest{
-				Stage: stage, Want: planned, Now: now,
-				Deadline: deadline, PredictedRemaining: remaining,
-			})
-			if g < 1 {
-				g = 1
-			}
-			if g > planned {
-				g = planned
-			}
-			a.Grants = append(a.Grants, GrantDecision{Stage: stage, Want: planned, Granted: g, At: now})
-			if jw != nil {
-				jw.Observe(&journal.Grant{
-					Stage: int64(stage), Want: int64(planned), Granted: int64(g), At: now,
-				})
-			}
-			return g
-		}
-	}
-
-	job, err = executor.Start(executor.Config{
-		Spec:             sc.Spec,
-		Plan:             a.Plan,
-		Model:            sc.Model,
-		Batch:            sc.Model.BaseBatch,
-		Configs:          sc.Space.SampleN(root.Stream(streamConfigs), sc.Spec.TotalTrials()),
-		Provider:         provider,
-		Cluster:          mgr,
-		Clock:            clock,
-		RNG:              execRNG,
-		DisablePlacement: sc.DisablePlacement,
-		RestoreSeconds:   sc.RestoreSeconds,
-		Trace:            rec,
-		LatencyScale:     latencyScale,
-		Replan:           ctl,
-		StageGate:        stageGate,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("harness: start: %w", err)
-	}
-	return &Running{
-		sc: sc, a: a, jw: jw, clock: clock, job: job,
-		provider: provider, mgr: mgr, rec: rec,
-	}, nil
-}
-
-// capGate is the scripted gate of cap-carrying scenarios: stage i is
-// granted at most caps[i] GPUs — a pure function of the scenario, so
-// chaos-generated gated runs stay replayable from (seed, index) alone.
-func capGate(caps []int) GrantFn {
-	return func(req GrantRequest) int {
-		if req.Stage < len(caps) && caps[req.Stage] < req.Want {
-			return caps[req.Stage]
-		}
-		return req.Want
-	}
-}
-
-// Done reports whether the job has completed (successfully or not).
-func (r *Running) Done() bool { return r.job.Done() }
-
-// Step executes one virtual-clock event, enforcing the journal-error and
-// livelock checks between events.
-func (r *Running) Step() error {
-	if r.jw != nil {
-		if err := r.jw.Err(); err != nil {
-			return err
-		}
-	}
-	if r.a.Steps >= maxSteps {
-		return errLivelock
-	}
-	if !r.clock.Step() {
-		return fmt.Errorf("harness: event queue drained before completion")
-	}
-	r.a.Steps++
-	return nil
-}
-
-// Stage returns the index of the stage currently executing.
-func (r *Running) Stage() int { return r.job.Stage() }
-
-// Steps returns the number of virtual-clock events executed so far.
-func (r *Running) Steps() int { return r.a.Steps }
-
-// Now returns the current virtual time in seconds.
-func (r *Running) Now() float64 { return float64(r.clock.Now()) }
-
-// CostSoFar returns the provider's accrued cost at the current instant.
-func (r *Running) CostSoFar() float64 { return r.provider.TotalCost(r.clock.Now()) }
-
-// Deadline returns the sampled job deadline in seconds.
-func (r *Running) Deadline() float64 { return r.a.Deadline }
-
-// Planned reports whether the elastic planner produced the plan.
-func (r *Running) Planned() bool { return r.a.Planned }
-
-// Plan returns the allocation plan the run started with.
-func (r *Running) Plan() sim.Plan { return r.a.Plan.Clone() }
-
-// Estimate returns the planner's prediction (valid only when Planned).
-func (r *Running) Estimate() sim.Estimate { return r.a.Estimate }
-
-// Grants returns the arbitration decisions recorded so far. The slice is
-// a copy: stage transitions append concurrently with status reads.
-func (r *Running) Grants() []GrantDecision {
-	return append([]GrantDecision(nil), r.a.Grants...)
-}
-
-// Finish completes the run's bookkeeping once Done: result extraction,
-// the journal End record, and artifact assembly.
-func (r *Running) Finish() (*Artifacts, error) {
-	if r.finished {
-		return r.a, nil
-	}
-	res, err := r.job.Result()
-	if err != nil {
-		return nil, fmt.Errorf("harness: run: %w", err)
-	}
-	if r.jw != nil {
-		// Close the journal: an End record marks a completed (rather than
-		// crashed) run.
-		if err := r.jw.Record(&journal.End{
-			JCT:       res.JCT,
-			Cost:      res.Cost,
-			BestTrial: int64(res.BestTrial),
-		}); err != nil {
-			return nil, err
-		}
-	}
-	r.a.Result = res
-	r.a.Recorder = r.rec
-	r.a.Instances = r.provider.Instances()
-	r.a.DataCost = r.provider.DataCost()
-	r.a.Retries = r.mgr.Retries()
-	r.finished = true
-	return r.a, nil
-}
+// CombineDigests folds per-scenario digests into one batch digest.
+func CombineDigests(ds []Digest) Digest { return pipeline.CombineDigests(ds) }

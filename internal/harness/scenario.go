@@ -1,9 +1,12 @@
 // Package harness is the deterministic end-to-end chaos harness: a seeded
 // scenario generator that samples random-but-reproducible experiment
 // specs, scaling workloads, pricing tables, deadlines and fault models,
-// runs the full pipeline (spec → simulation → planner → placement →
-// elastic executor) on the virtual clock, and checks system-wide
-// invariant oracles over the resulting trace, billing and result.
+// drives each through the production run path (package pipeline) on the
+// virtual clock, and checks system-wide invariant oracles over the
+// resulting trace, billing and result. It also drives whole batches
+// (RunBatch, the fuzz targets) and the crash/recover equivalence
+// experiment (CrashRecover). The run itself lives in pipeline; this
+// package only generates, drives and judges.
 //
 // The style follows FoundationDB-like simulation testing: all randomness
 // derives from one seed through pure stats.RNG streams, so any failing
@@ -16,97 +19,12 @@ import (
 
 	"repro/internal/cloud"
 	"repro/internal/model"
+	"repro/internal/pipeline"
 	"repro/internal/searchspace"
 	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/stats"
 )
-
-// Scenario is one generated end-to-end chaos experiment. It is a pure
-// function of (BatchSeed, Index): Generate reconstructs it exactly, and
-// RunScenario derives every runtime random stream from the same pair, so
-// a Scenario value is fully described by those two numbers.
-type Scenario struct {
-	// BatchSeed and Index identify the scenario within its batch.
-	BatchSeed uint64
-	Index     int
-
-	// Spec is the sampled experiment structure (stages × trials × iters).
-	Spec *spec.ExperimentSpec
-	// Model is the workload (zoo architecture with rescaled noise).
-	Model *model.Model
-	// Space is the hyperparameter space configurations are drawn from.
-	Space *searchspace.Space
-	// Profile bundles instance type, pricing table and provisioning
-	// overheads.
-	Profile sim.CloudProfile
-	// Faults is the injected provider fault model.
-	Faults cloud.FaultModel
-	// RestoreSeconds is the checkpoint-restore latency at migrations.
-	RestoreSeconds float64
-	// DisablePlacement scatters workers (the locality ablation path).
-	DisablePlacement bool
-	// MaxGPUs caps the planner's peak cluster size.
-	MaxGPUs int
-	// Samples is the simulator's Monte-Carlo sample count.
-	Samples int
-	// DeadlineFactor scales the analytic static-cluster JCT bound into
-	// the job deadline. Factors near or below 1 are often infeasible,
-	// deliberately exercising the planner-failure fallback path.
-	DeadlineFactor float64
-	// Estimator selects the simulator's Monte-Carlo estimator mode, so
-	// the chaos sweep exercises both the incremental segment estimator
-	// and the full-DAG reference.
-	Estimator sim.EstimatorMode
-	// Drift injects a mid-run latency regime change the planner did not
-	// see: every iteration starting after the drift onset runs Factor×
-	// slower (or faster) than profiled.
-	Drift DriftModel
-	// ReplanEnabled wires the online replanning controller into the
-	// executor; disabled runs exercise the stale-plan baseline.
-	ReplanEnabled bool
-	// DriftThreshold is the replan controller's EWMA trigger threshold.
-	DriftThreshold float64
-	// ReplanCooldown is the minimum virtual time between replans.
-	ReplanCooldown float64
-	// ArbiterCaps, when non-nil, runs the scenario behind a scripted
-	// stage-boundary arbiter: stage i's allocation is capped at
-	// ArbiterCaps[i] GPUs, exercising the multi-tenant grant gate inside
-	// the chaos sweep. Caps are part of the scenario (a pure function of
-	// seed and index), so capped runs replay like any other. Capped
-	// scenarios never enable replanning: the gate and the replan
-	// controller both rewrite the live plan.
-	ArbiterCaps []int
-}
-
-// DriftModel describes an injected latency regime change: from virtual
-// time deadline×StartFraction onward, iteration latencies are multiplied
-// by Factor. The zero value (or Factor 1) means no drift.
-type DriftModel struct {
-	Factor        float64
-	StartFraction float64
-}
-
-// Active reports whether the model changes anything.
-func (d DriftModel) Active() bool { return d.Factor > 0 && d.Factor != 1 }
-
-// Stream indices for the per-scenario RNG tree. Generate and RunScenario
-// never share a stream, so adding draws to one phase cannot shift another.
-const (
-	streamGenerate = iota
-	streamSim
-	streamProvider
-	streamExecutor
-	streamConfigs
-	streamReplan
-	streamCrash
-)
-
-// scenarioRoot returns the root RNG of scenario (seed, index). Stream is
-// pure, so repeated calls yield identical children.
-func scenarioRoot(seed uint64, index int) *stats.RNG {
-	return stats.NewRNG(seed).Stream(uint64(index))
-}
 
 // pick returns a uniformly chosen element of xs.
 func pick[T any](r *stats.RNG, xs ...T) T { return xs[r.Intn(len(xs))] }
@@ -120,7 +38,7 @@ func uniform(r *stats.RNG, lo, hi float64) float64 {
 // seed. Every field is drawn from the scenario's private generation
 // stream; the same (seed, index) always yields the same Scenario.
 func Generate(seed uint64, index int) Scenario {
-	r := scenarioRoot(seed, index).Stream(streamGenerate)
+	r := pipeline.ScenarioRoot(seed, index).Stream(pipeline.StreamGenerate)
 
 	// Experiment structure: 1–4 stages, 2–10 initial trials, trial counts
 	// non-increasing (early stopping only terminates trials).
@@ -221,9 +139,9 @@ func Generate(seed uint64, index int) Scenario {
 	// run with the replan controller wired in.
 	switch r.Intn(3) {
 	case 1:
-		sc.Drift = DriftModel{Factor: pick(r, 1.5, 2.0, 3.0), StartFraction: uniform(r, 0.05, 0.6)}
+		sc.Drift = pipeline.DriftModel{Factor: pick(r, 1.5, 2.0, 3.0), StartFraction: uniform(r, 0.05, 0.6)}
 	case 2:
-		sc.Drift = DriftModel{Factor: pick(r, 0.4, 0.7), StartFraction: uniform(r, 0.05, 0.6)}
+		sc.Drift = pipeline.DriftModel{Factor: pick(r, 0.4, 0.7), StartFraction: uniform(r, 0.05, 0.6)}
 	}
 	sc.ReplanEnabled = r.Intn(2) == 0
 	sc.DriftThreshold = pick(r, 0.15, 0.25, 0.4)
@@ -251,18 +169,4 @@ func Generate(seed uint64, index int) Scenario {
 		sc.ReplanEnabled = false
 	}
 	return sc
-}
-
-// String renders the scenario compactly for failure reports.
-func (sc Scenario) String() string {
-	return fmt.Sprintf(
-		"seed=%d index=%d spec=%v model=%s inst=%s billing=%v market=%v minCharge=%gs dataGB=%.1f "+
-			"faults={pfail=%.3f preemptMean=%.0fs} restore=%.1fs scatter=%v maxGPUs=%d deadlineFactor=%.2f estimator=%v "+
-			"drift={x%.1f@%.2f} replan=%v threshold=%.2f cooldown=%.0fs caps=%v",
-		sc.BatchSeed, sc.Index, sc.Spec, sc.Model.Name, sc.Profile.Instance.Name,
-		sc.Profile.Pricing.Billing, sc.Profile.Pricing.Market, sc.Profile.Pricing.MinChargeSeconds,
-		sc.Profile.DatasetGB, sc.Faults.ProvisionFailureProb, sc.Faults.PreemptionMeanSeconds,
-		sc.RestoreSeconds, sc.DisablePlacement, sc.MaxGPUs, sc.DeadlineFactor, sc.Estimator,
-		sc.Drift.Factor, sc.Drift.StartFraction, sc.ReplanEnabled, sc.DriftThreshold, sc.ReplanCooldown,
-		sc.ArbiterCaps)
 }

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/harness"
+	"repro/internal/pipeline"
 )
 
 // Policy selects the arbiter's stage-boundary reallocation rule.
@@ -66,7 +66,7 @@ type hold struct {
 // and every exchange grants at least 1 GPU, so arbitration never blocks:
 // a live experiment always makes progress through queued trial waves.
 //
-// Every action is appended to an event log (plain harness data) that the
+// Every action is appended to an event log (plain pipeline.FleetEvent data) that the
 // fleet-fairness oracle replays.
 type Arbiter struct {
 	mu       sync.Mutex
@@ -74,7 +74,7 @@ type Arbiter struct {
 	policy   Policy
 	holds    map[string]*hold
 	admits   int
-	log      []harness.FleetEvent
+	log      []pipeline.FleetEvent
 }
 
 // NewArbiter builds an arbiter for a cluster of capacity GPUs.
@@ -89,16 +89,16 @@ func NewArbiter(capacity int, policy Policy) (*Arbiter, error) {
 func (a *Arbiter) Capacity() int { return a.capacity }
 
 // record appends one event to the log with the next global sequence.
-func (a *Arbiter) record(e harness.FleetEvent) {
+func (a *Arbiter) record(e pipeline.FleetEvent) {
 	e.Seq = len(a.log)
 	a.log = append(a.log, e)
 }
 
 // Log returns a copy of the arbiter's event log.
-func (a *Arbiter) Log() []harness.FleetEvent {
+func (a *Arbiter) Log() []pipeline.FleetEvent {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return append([]harness.FleetEvent(nil), a.log...)
+	return append([]pipeline.FleetEvent(nil), a.log...)
 }
 
 // Note records a submission-side lifecycle event ("submit", "reject")
@@ -106,7 +106,7 @@ func (a *Arbiter) Log() []harness.FleetEvent {
 func (a *Arbiter) Note(kind, exp, tenant string) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.record(harness.FleetEvent{Kind: kind, Exp: exp, Tenant: tenant})
+	a.record(pipeline.FleetEvent{Kind: kind, Exp: exp, Tenant: tenant})
 }
 
 // InUse returns the sum of live holds.
@@ -152,7 +152,7 @@ func (a *Arbiter) Admit(exp, tenant string) error {
 	}
 	a.holds[exp] = &hold{tenant: tenant, gpus: 1, order: a.admits}
 	a.admits++
-	a.record(harness.FleetEvent{Kind: "admit", Exp: exp, Tenant: tenant, Held: 1})
+	a.record(pipeline.FleetEvent{Kind: "admit", Exp: exp, Tenant: tenant, Held: 1})
 	return nil
 }
 
@@ -216,7 +216,7 @@ func (a *Arbiter) Exchange(exp string, stage, want int, slack float64) (int, err
 		grant = 1
 	}
 	h.gpus = grant
-	a.record(harness.FleetEvent{
+	a.record(pipeline.FleetEvent{
 		Kind: "grant", Exp: exp, Tenant: h.tenant,
 		Stage: stage, Want: want, Granted: grant, Held: grant,
 	})
@@ -237,5 +237,5 @@ func (a *Arbiter) Done(exp string) {
 		return
 	}
 	delete(a.holds, exp)
-	a.record(harness.FleetEvent{Kind: "done", Exp: exp, Tenant: h.tenant})
+	a.record(pipeline.FleetEvent{Kind: "done", Exp: exp, Tenant: h.tenant})
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/pipeline"
 )
 
 func TestArbiterAdmitExchangeDone(t *testing.T) {
@@ -80,9 +81,9 @@ func TestArbiterNeverBlocksAndNeverOversubscribes(t *testing.T) {
 		}
 		evlog := arb.Log()
 		// Prepend the submits the oracle expects.
-		full := make([]harness.FleetEvent, 0, len(evlog)+len(ids))
+		full := make([]pipeline.FleetEvent, 0, len(evlog)+len(ids))
 		for i, id := range ids {
-			full = append(full, harness.FleetEvent{Seq: i, Kind: "submit", Exp: id, Tenant: "t-" + id})
+			full = append(full, pipeline.FleetEvent{Seq: i, Kind: "submit", Exp: id, Tenant: "t-" + id})
 		}
 		for _, e := range evlog {
 			e.Seq += len(ids)

@@ -3,21 +3,21 @@ package serve
 import (
 	"fmt"
 
-	"repro/internal/harness"
+	"repro/internal/pipeline"
 )
 
 // FleetJob is one experiment in a deterministic in-process fleet run.
 type FleetJob struct {
 	ID       string
 	Tenant   string
-	Scenario harness.Scenario
+	Scenario pipeline.Scenario
 }
 
 // FleetJobResult is one fleet job's outcome.
 type FleetJobResult struct {
 	ID          string
-	Artifacts   *harness.Artifacts
-	Digest      harness.Digest
+	Artifacts   *pipeline.Artifacts
+	Digest      pipeline.Digest
 	DeadlineMet bool
 	Err         error
 }
@@ -25,7 +25,7 @@ type FleetJobResult struct {
 // FleetResult bundles a fleet run's outcomes and the arbiter log.
 type FleetResult struct {
 	Jobs []FleetJobResult
-	Log  []harness.FleetEvent
+	Log  []pipeline.FleetEvent
 }
 
 // Met counts jobs that finished within their deadline.
@@ -45,7 +45,7 @@ func (r *FleetResult) Met() int {
 // (virtual time, submission index) — a deterministic schedule, so the
 // differential tests (slack vs FIFO policy on identical fleets) compare
 // exactly one changed variable. Every stage boundary arbitrates through
-// Arbiter.Exchange with the harness-computed deadline slack, exactly as
+// Arbiter.Exchange with the pipeline-computed deadline slack, exactly as
 // the live server's drivers do.
 func RunFleet(capacity int, policy Policy, jobs []FleetJob) (*FleetResult, error) {
 	arb, err := NewArbiter(capacity, policy)
@@ -60,7 +60,7 @@ func RunFleet(capacity int, policy Policy, jobs []FleetJob) (*FleetResult, error
 
 	type liveRun struct {
 		idx int
-		run *harness.Running
+		run *pipeline.Running
 	}
 	var live []*liveRun
 	next := 0 // next job to admit (FIFO)
@@ -73,7 +73,7 @@ func RunFleet(capacity int, policy Policy, jobs []FleetJob) (*FleetResult, error
 			if err := arb.Admit(j.ID, j.Tenant); err != nil {
 				return err
 			}
-			gate := func(req harness.GrantRequest) int {
+			gate := func(req pipeline.GrantRequest) int {
 				slack := req.Deadline - req.Now - req.PredictedRemaining
 				g, gerr := arb.Exchange(j.ID, req.Stage, req.Want, slack)
 				if gerr != nil {
@@ -81,7 +81,7 @@ func RunFleet(capacity int, policy Policy, jobs []FleetJob) (*FleetResult, error
 				}
 				return g
 			}
-			run, err := harness.StartScenario(j.Scenario, harness.RunConfig{Gate: gate})
+			run, err := pipeline.Start(j.Scenario, pipeline.RunConfig{Gate: gate})
 			if err != nil {
 				res.Jobs[idx].Err = fmt.Errorf("start %s: %w", j.ID, err)
 				arb.Done(j.ID)
@@ -101,7 +101,7 @@ func RunFleet(capacity int, policy Policy, jobs []FleetJob) (*FleetResult, error
 			jr.Err = err
 		} else {
 			jr.Artifacts = a
-			jr.Digest = harness.ComputeDigest(a)
+			jr.Digest = pipeline.ComputeDigest(a)
 			jr.DeadlineMet = a.Result.JCT <= a.Deadline
 		}
 		arb.Done(jobs[lr.idx].ID)

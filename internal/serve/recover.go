@@ -7,8 +7,8 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/harness"
 	"repro/internal/journal"
+	"repro/internal/pipeline"
 )
 
 // RecoverReport summarizes one restart's recovery pass.
@@ -147,12 +147,12 @@ func (s *Server) resume(side subSidecar) (damaged bool, err error) {
 // returns its Grant sequence — the arbitration decisions the previous
 // generation's run consumed before dying. The resumed re-execution
 // replays exactly these.
-func grantPrefix(b journal.Backend) ([]harness.GrantDecision, error) {
+func grantPrefix(b journal.Backend) ([]pipeline.GrantDecision, error) {
 	raw, err := b.Load()
 	if err != nil {
 		return nil, err
 	}
-	var out []harness.GrantDecision
+	var out []pipeline.GrantDecision
 	for _, payload := range raw.Records {
 		rec, err := journal.DecodeRecord(payload)
 		if err != nil {
@@ -161,7 +161,7 @@ func grantPrefix(b journal.Backend) ([]harness.GrantDecision, error) {
 			return nil, fmt.Errorf("serve: grant prescan: %w", err)
 		}
 		if g, ok := rec.(*journal.Grant); ok {
-			out = append(out, harness.GrantDecision{
+			out = append(out, pipeline.GrantDecision{
 				Stage: int(g.Stage), Want: int(g.Want), Granted: int(g.Granted), At: g.At,
 			})
 		}

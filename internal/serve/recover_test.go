@@ -6,17 +6,17 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/harness"
 	"repro/internal/journal"
+	"repro/internal/pipeline"
 )
 
 // grantAll is the uncontended gate: every request granted in full.
-func grantAll(req harness.GrantRequest) int { return req.Want }
+func grantAll(req pipeline.GrantRequest) int { return req.Want }
 
 // refRun executes sub's scenario uncontended and journaled offline,
 // returning the reference digest and the journal's total record count
 // (for picking crash points).
-func refRun(t *testing.T, sub Submission) (harness.Digest, uint64) {
+func refRun(t *testing.T, sub Submission) (pipeline.Digest, uint64) {
 	t.Helper()
 	sc, err := BuildScenario(sub)
 	if err != nil {
@@ -24,7 +24,7 @@ func refRun(t *testing.T, sub Submission) (harness.Digest, uint64) {
 	}
 	b := journal.NewMemBackend()
 	w := journal.NewWriter(b, 8)
-	r, err := harness.StartScenario(sc, harness.RunConfig{Journal: w, Gate: grantAll})
+	r, err := pipeline.Start(sc, pipeline.RunConfig{Journal: w, Gate: grantAll})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func refRun(t *testing.T, sub Submission) (harness.Digest, uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return harness.ComputeDigest(a), w.Seq()
+	return pipeline.ComputeDigest(a), w.Seq()
 }
 
 // TestServerCrashRecoveryAcrossGenerations: generation A is killed
@@ -57,7 +57,7 @@ func TestServerCrashRecoveryAcrossGenerations(t *testing.T) {
 		smallSub("beta", 303), // crashes mid-run, torn tail
 		smallSub("ceta", 304), // crashes late
 	}
-	wantDigest := make([]harness.Digest, len(subs))
+	wantDigest := make([]pipeline.Digest, len(subs))
 	totals := make([]uint64, len(subs))
 	for i, sub := range subs {
 		wantDigest[i], totals[i] = refRun(t, sub)

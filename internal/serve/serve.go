@@ -12,7 +12,7 @@
 // the arbiter's grant sequence are not reproducible run to run. But
 // every admitted experiment runs on its own seeded virtual clock, and
 // the only nondeterministic input it ever consumes is that grant
-// sequence, injected at stage boundaries through the harness grant gate
+// sequence, injected at stage boundaries through the pipeline grant gate
 // and recorded — in the experiment's journal (Grant records) and in its
 // replay tuple. A completed experiment's (seed, spec, grants) tuple
 // therefore replays offline to a bit-identical digest: VerifyReplay (and
@@ -27,9 +27,9 @@ import (
 	"strconv"
 
 	"repro/internal/cloud"
-	"repro/internal/harness"
 	"repro/internal/journal"
 	"repro/internal/model"
+	"repro/internal/pipeline"
 	"repro/internal/searchspace"
 	"repro/internal/sim"
 	"repro/internal/spec"
@@ -38,7 +38,7 @@ import (
 
 // Submission is the JSON body of POST /v1/experiments: a complete,
 // self-contained experiment description. BuildScenario maps it to a
-// harness scenario as a pure function — the submission plus the recorded
+// pipeline scenario as a pure function — the submission plus the recorded
 // grant sequence is the experiment's full replay tuple.
 type Submission struct {
 	// Tenant is the submitting tenant (journal.ValidName alphabet).
@@ -154,14 +154,14 @@ func instanceName(s string) string {
 	return s
 }
 
-// BuildScenario maps a validated submission to its harness scenario: a
+// BuildScenario maps a validated submission to its pipeline scenario: a
 // pure function, drawing no randomness, so the same submission always
 // yields the same scenario. The cloud substrate is deterministic
 // on-demand per-instance billing with zero queue delay — the service's
 // nondeterminism budget is spent entirely on the arbiter's grants.
-func BuildScenario(sub Submission) (harness.Scenario, error) {
+func BuildScenario(sub Submission) (pipeline.Scenario, error) {
 	if err := sub.Validate(); err != nil {
-		return harness.Scenario{}, fmt.Errorf("serve: submission: %w", err)
+		return pipeline.Scenario{}, fmt.Errorf("serve: submission: %w", err)
 	}
 	stages := make([]spec.Stage, len(sub.Stages))
 	for i, st := range sub.Stages {
@@ -169,19 +169,19 @@ func BuildScenario(sub Submission) (harness.Scenario, error) {
 	}
 	sp, err := spec.New(stages...)
 	if err != nil {
-		return harness.Scenario{}, fmt.Errorf("serve: spec: %w", err)
+		return pipeline.Scenario{}, fmt.Errorf("serve: spec: %w", err)
 	}
 	m, err := zooModel(sub.Model)
 	if err != nil {
-		return harness.Scenario{}, err
+		return pipeline.Scenario{}, err
 	}
 	it, err := cloud.DefaultCatalog().Lookup(instanceName(sub.Instance))
 	if err != nil {
-		return harness.Scenario{}, err
+		return pipeline.Scenario{}, err
 	}
 	est, err := estimatorMode(sub.Estimator)
 	if err != nil {
-		return harness.Scenario{}, err
+		return pipeline.Scenario{}, err
 	}
 	space := searchspace.DefaultVisionSpace()
 	if m.Name == "bert" {
@@ -191,7 +191,7 @@ func BuildScenario(sub Submission) (harness.Scenario, error) {
 	if samples == 0 {
 		samples = 4
 	}
-	return harness.Scenario{
+	return pipeline.Scenario{
 		BatchSeed: sub.Seed,
 		Index:     0,
 		Spec:      sp,
@@ -217,20 +217,20 @@ func BuildScenario(sub Submission) (harness.Scenario, error) {
 // completed experiment: everything needed to re-derive its digest
 // offline, away from the live arbiter and the wall clock.
 type ReplayTuple struct {
-	ID         string                  `json:"id"`
-	Submission Submission              `json:"submission"`
-	Grants     []harness.GrantDecision `json:"grants"`
-	Digest     string                  `json:"digest"`
-	JCT        float64                 `json:"jct"`
-	Cost       float64                 `json:"cost"`
+	ID         string                   `json:"id"`
+	Submission Submission               `json:"submission"`
+	Grants     []pipeline.GrantDecision `json:"grants"`
+	Digest     string                   `json:"digest"`
+	JCT        float64                  `json:"jct"`
+	Cost       float64                  `json:"cost"`
 }
 
 // ScriptedGrants is a gate that re-issues a recorded grant sequence in
 // order. Requests past the script's end are granted in full (a correct
 // replay never reaches them: the script covers every stage).
-func ScriptedGrants(grants []harness.GrantDecision) harness.GrantFn {
+func ScriptedGrants(grants []pipeline.GrantDecision) pipeline.GrantFn {
 	i := 0
-	return func(req harness.GrantRequest) int {
+	return func(req pipeline.GrantRequest) int {
 		if i < len(grants) {
 			g := grants[i].Granted
 			i++
@@ -243,19 +243,19 @@ func ScriptedGrants(grants []harness.GrantDecision) harness.GrantFn {
 // VerifyReplay re-runs a replay tuple offline — the recorded grants
 // scripted into a fresh gated run — and checks the digest matches the
 // server-reported one bit for bit. It returns the recomputed digest.
-func VerifyReplay(t ReplayTuple) (harness.Digest, error) {
+func VerifyReplay(t ReplayTuple) (pipeline.Digest, error) {
 	sc, err := BuildScenario(t.Submission)
 	if err != nil {
 		return 0, err
 	}
-	a, err := harness.RunScenarioArbitrated(sc, ScriptedGrants(t.Grants))
+	a, err := pipeline.Run(sc, pipeline.RunConfig{Gate: ScriptedGrants(t.Grants)})
 	if err != nil {
 		return 0, fmt.Errorf("serve: replay run: %w", err)
 	}
 	if got, want := len(a.Grants), len(t.Grants); got != want {
 		return 0, fmt.Errorf("serve: replay consumed %d grants, tuple records %d", got, want)
 	}
-	d := harness.ComputeDigest(a)
+	d := pipeline.ComputeDigest(a)
 	want, err := strconv.ParseUint(t.Digest, 16, 64)
 	if err != nil {
 		return 0, fmt.Errorf("serve: tuple digest %q: %w", t.Digest, err)
@@ -267,4 +267,4 @@ func VerifyReplay(t ReplayTuple) (harness.Digest, error) {
 }
 
 // DigestString renders a digest the way replay tuples store it.
-func DigestString(d harness.Digest) string { return fmt.Sprintf("%016x", uint64(d)) }
+func DigestString(d pipeline.Digest) string { return fmt.Sprintf("%016x", uint64(d)) }

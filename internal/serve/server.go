@@ -10,8 +10,8 @@ import (
 	"strconv"
 	"sync"
 
-	"repro/internal/harness"
 	"repro/internal/journal"
+	"repro/internal/pipeline"
 )
 
 // Config parameterizes a Server.
@@ -94,9 +94,9 @@ func NewServer(cfg Config) (*Server, error) {
 // Handler returns the HTTP API surface.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// FleetLog returns the arbiter's event log — the input of the
-// harness fleet-fairness oracle.
-func (s *Server) FleetLog() []harness.FleetEvent { return s.arb.Log() }
+// FleetLog returns the arbiter's event log — the input of the chaos
+// harness's fleet-fairness oracle.
+func (s *Server) FleetLog() []pipeline.FleetEvent { return s.arb.Log() }
 
 // Close stops admitting queued work and waits for every live driver to
 // finish its (virtual-time) run.
@@ -395,10 +395,10 @@ func (s *Server) openJournal(exp *Experiment) (*journal.Writer, string, func(), 
 // replays a recovered journal's grant prefix before going live — the
 // resumed run's re-execution consumes exactly the grants the crashed
 // generation was given, then fresh stages arbitrate normally.
-func (s *Server) run(exp *Experiment, sc harness.Scenario, jw *journal.Writer, dir string, script []harness.GrantDecision) {
+func (s *Server) run(exp *Experiment, sc pipeline.Scenario, jw *journal.Writer, dir string, script []pipeline.GrantDecision) {
 	defer s.finish(exp)
 	si := 0
-	gate := func(req harness.GrantRequest) int {
+	gate := func(req pipeline.GrantRequest) int {
 		var g int
 		if si < len(script) {
 			g = script[si].Granted
@@ -413,13 +413,13 @@ func (s *Server) run(exp *Experiment, sc harness.Scenario, jw *journal.Writer, d
 			}
 			g = live
 		}
-		exp.noteGrant(harness.GrantDecision{Stage: req.Stage, Want: req.Want, Granted: g, At: req.Now})
+		exp.noteGrant(pipeline.GrantDecision{Stage: req.Stage, Want: req.Want, Granted: g, At: req.Now})
 		// A shrunken hold may have freed GPUs: let the pump admit into them.
 		s.pump()
 		return g
 	}
 	exp.markAdmitted()
-	run, err := harness.StartScenario(sc, harness.RunConfig{Journal: jw, Gate: gate})
+	run, err := pipeline.Start(sc, pipeline.RunConfig{Journal: jw, Gate: gate})
 	if err != nil {
 		exp.fail(err)
 		return
@@ -442,7 +442,7 @@ func (s *Server) run(exp *Experiment, sc harness.Scenario, jw *journal.Writer, d
 		exp.fail(err)
 		return
 	}
-	d := harness.ComputeDigest(a)
+	d := pipeline.ComputeDigest(a)
 	exp.complete(a, d)
 	if dir != "" {
 		if t, ok := exp.Tuple(); ok {

@@ -3,7 +3,7 @@ package serve
 import (
 	"sync"
 
-	"repro/internal/harness"
+	"repro/internal/pipeline"
 )
 
 // ExpState is an experiment's lifecycle state.
@@ -78,7 +78,7 @@ type Experiment struct {
 	planned  bool
 	predJCT  float64
 	predCost float64
-	grants   []harness.GrantDecision
+	grants   []pipeline.GrantDecision
 
 	// Outcome.
 	digest  string
@@ -131,7 +131,7 @@ func (e *Experiment) next(i int) (Event, bool, <-chan struct{}, bool) {
 
 // markAdmitted transitions to running. It precedes plan construction so
 // the event feed shows the admission before the first stage's grant
-// (which fires inside StartScenario).
+// (which fires inside pipeline.Start).
 func (e *Experiment) markAdmitted() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -141,7 +141,7 @@ func (e *Experiment) markAdmitted() {
 }
 
 // notePlan records the started run's plan and prediction.
-func (e *Experiment) notePlan(r *harness.Running) {
+func (e *Experiment) notePlan(r *pipeline.Running) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.deadline = r.Deadline()
@@ -155,7 +155,7 @@ func (e *Experiment) notePlan(r *harness.Running) {
 }
 
 // noteGrant records one arbiter grant in the mirror and the feed.
-func (e *Experiment) noteGrant(d harness.GrantDecision) {
+func (e *Experiment) noteGrant(d pipeline.GrantDecision) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.grants = append(e.grants, d)
@@ -177,7 +177,7 @@ func (e *Experiment) progress(stage int, vnow, cost float64) {
 }
 
 // complete transitions to done with the run's outcome.
-func (e *Experiment) complete(a *harness.Artifacts, digest harness.Digest) {
+func (e *Experiment) complete(a *pipeline.Artifacts, digest pipeline.Digest) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.state = StateDone
@@ -185,7 +185,7 @@ func (e *Experiment) complete(a *harness.Artifacts, digest harness.Digest) {
 	e.vnow, e.cost = a.Result.JCT, a.Result.Cost
 	e.jct, e.bestTrl = a.Result.JCT, int(a.Result.BestTrial)
 	e.digest = DigestString(digest)
-	e.grants = append([]harness.GrantDecision(nil), a.Grants...)
+	e.grants = append([]pipeline.GrantDecision(nil), a.Grants...)
 	e.publishLocked(Event{
 		Type: "done", VTime: a.Result.JCT,
 		JCT: a.Result.JCT, Cost: a.Result.Cost, Digest: e.digest,
@@ -230,7 +230,7 @@ func newRecoveredDone(t ReplayTuple) *Experiment {
 	e.finishedAt = wallNow()
 	e.vnow, e.jct, e.cost = t.JCT, t.JCT, t.Cost
 	e.digest = t.Digest
-	e.grants = append([]harness.GrantDecision(nil), t.Grants...)
+	e.grants = append([]pipeline.GrantDecision(nil), t.Grants...)
 	e.publishLocked(Event{Type: "queued"})
 	e.publishLocked(Event{
 		Type: "done", VTime: t.JCT, JCT: t.JCT, Cost: t.Cost, Digest: t.Digest,
@@ -249,7 +249,7 @@ func (e *Experiment) Tuple() (ReplayTuple, bool) {
 	return ReplayTuple{
 		ID:         e.ID,
 		Submission: e.Sub,
-		Grants:     append([]harness.GrantDecision(nil), e.grants...),
+		Grants:     append([]pipeline.GrantDecision(nil), e.grants...),
 		Digest:     e.digest,
 		JCT:        e.jct,
 		Cost:       e.cost,
