@@ -162,7 +162,7 @@ func BenchmarkExtensionInstances(b *testing.B) {
 // --- micro-benchmarks of the hot paths ---
 
 func benchSimulator(b *testing.B, samples int) *sim.Simulator {
-	return benchSimulatorWorkers(b, samples, 0) // 0 = GOMAXPROCS
+	return benchSimulatorWorkers(b, samples, 0) // 0 = serial
 }
 
 func benchSimulatorWorkers(b *testing.B, samples, workers int) *sim.Simulator {
@@ -345,9 +345,9 @@ func BenchmarkPlacementUpdate(b *testing.B) {
 	for i := range cnodes {
 		cnodes[i] = &cluster.Node{ID: cluster.NodeID(i), GPUs: 8}
 	}
-	allocs := make(map[placement.TrialID]int, 32)
-	for i := 0; i < 32; i++ {
-		allocs[placement.TrialID(i)] = 4
+	allocs := make([]int32, 32)
+	for i := range allocs {
+		allocs[i] = 4
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -35,7 +35,7 @@ func main() {
 		steps     = flag.Int("steps", 7, "number of sweep points (inclusive of both ends)")
 		seed      = flag.Uint64("seed", 1, "random seed")
 		samples   = flag.Int("samples", 10, "simulator Monte-Carlo samples per plan")
-		workers   = flag.Int("workers", 0, "planning concurrency: Monte-Carlo and candidate-evaluation workers (0 = GOMAXPROCS, 1 = serial; output is identical at any setting)")
+		workers   = flag.Int("workers", 0, "planning concurrency: Monte-Carlo and candidate-evaluation workers (0 or 1 = serial; output is identical at any setting)")
 		format    = flag.String("format", "text", "output format: text or csv")
 		estimator = flag.String("estimator", "segment", "plan estimator: segment (incremental Monte-Carlo, cached stage segments), full (reference full-DAG streams) or analytic (moment propagation, no sampling; falls back to segment on heavy-tailed latencies)")
 	)

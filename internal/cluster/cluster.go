@@ -5,8 +5,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/cloud"
 	"repro/internal/vclock"
@@ -119,7 +120,7 @@ func (m *Manager) Nodes() []*Node {
 	for _, n := range m.ready {
 		out = append(out, n)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b *Node) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 

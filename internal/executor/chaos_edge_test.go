@@ -93,7 +93,7 @@ func TestScatterPreservesRunningGangs(t *testing.T) {
 	// live gangs pinned.
 	nodes := []*cluster.Node{{ID: 0, GPUs: 1}, {ID: 1, GPUs: 1}}
 	prev := placement.Plan{1: placement.Assignment{1: 1}}
-	got := scatter(map[placement.TrialID]int{1: 1, 2: 1}, nodes, prev)
+	got := scatter([]int32{-1, 1, 1}, nodes, prev)
 	if got == nil {
 		t.Fatal("scatter failed")
 	}
@@ -106,7 +106,7 @@ func TestScatterPreservesRunningGangs(t *testing.T) {
 
 	// A gang whose node vanished (preemption) must be re-placed.
 	gone := placement.Plan{1: placement.Assignment{9: 1}}
-	got = scatter(map[placement.TrialID]int{1: 1}, nodes, gone)
+	got = scatter([]int32{-1, 1}, nodes, gone)
 	if got == nil || got[1][9] != 0 || got[1].GPUs() != 1 {
 		t.Fatalf("vanished-node gang not re-placed: %v", got)
 	}

@@ -14,6 +14,7 @@ package executor
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 
@@ -56,7 +57,8 @@ type Config struct {
 	// RestoreSeconds is the latency of restoring a checkpoint into a
 	// freshly placed worker gang at stage transitions.
 	RestoreSeconds float64
-	// Trace, if non-nil, records execution events.
+	// Trace, if non-nil, records execution events and busy GPU-seconds.
+	// Without it the executor formats no event notes at all.
 	Trace *trace.Recorder
 	// LatencyScale, if non-nil, multiplies every sampled iteration
 	// latency by its value at the iteration's start instant — the chaos
@@ -153,15 +155,25 @@ type Result struct {
 
 // run carries the mutable state of one execution.
 type run struct {
-	cfg    Config
+	cfg Config
+	// tr is cfg.Trace; nil when the caller records nothing, so every
+	// note is formatted behind an r.tr != nil check.
 	tr     *trace.Recorder
 	trials []*trial.Trial
 	ctrl   *placement.Controller
 	store  *trial.Store
 
-	stage     int
-	need      int // node target of the current stage
-	plan      placement.Plan
+	stage int
+	need  int // node target of the current stage
+	// plan is the live placement: the plan the last placement returned
+	// (the controller's own, which its Remove edits in place).
+	plan placement.Plan
+	// stagePlan is plan as the previous stage ended, before the barrier
+	// removed its trials: the baseline a replanned stage's placement
+	// churn note is counted against (kept only when tracing).
+	stagePlan placement.Plan
+	// nodeByID is the ready-node view usage metering reads, refilled
+	// in place by every placement.
 	nodeByID  map[cluster.NodeID]*cluster.Node
 	remaining int
 	queue     []trial.ID
@@ -194,6 +206,8 @@ type run struct {
 	scaleReqAt vclock.Time
 
 	rows []StageRow
+	// busy accumulates productive GPU-seconds for Result.Utilization.
+	busy float64
 	// costAtLastBarrier tracks cumulative billing for per-stage
 	// attribution.
 	costAtLastBarrier float64
@@ -274,17 +288,12 @@ func Start(cfg Config) (*Job, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	tr := cfg.Trace
-	if tr == nil {
-		// Always keep an internal recorder so utilization accounting
-		// works even when the caller doesn't want the event log.
-		tr = trace.New()
-	}
 	r := &run{
 		cfg:      cfg,
-		tr:       tr,
+		tr:       cfg.Trace,
 		ctrl:     placement.NewController(cfg.Cluster.GPUsPerNode()),
 		store:    trial.NewStore(),
+		nodeByID: make(map[cluster.NodeID]*cluster.Node),
 		execPlan: cfg.Plan.Clone(),
 	}
 	r.soa.init(cfg.Spec.TotalTrials())
@@ -406,11 +415,15 @@ func (r *run) startStage(i int) {
 				return
 			}
 		}
-		r.tr.Record(now, trace.KindScaleDown, i, -1, fmt.Sprintf("to %d nodes", need))
+		if r.tr != nil {
+			r.tr.Record(now, trace.KindScaleDown, i, -1, fmt.Sprintf("to %d nodes", need))
+		}
 		r.scaledUp = false
 	} else if cur < need {
 		r.cfg.Cluster.ScaleUpTo(need)
-		r.tr.Record(now, trace.KindScaleUp, i, -1, fmt.Sprintf("to %d nodes", need))
+		if r.tr != nil {
+			r.tr.Record(now, trace.KindScaleUp, i, -1, fmt.Sprintf("to %d nodes", need))
+		}
 		r.scaledUp = true
 		r.scaleReqAt = now
 	} else {
@@ -457,7 +470,6 @@ func (r *run) beginTraining() {
 		r.soa.setAlloc(t.ID(), per)
 	}
 
-	prev := r.plan
 	if err := r.place(); err != nil {
 		r.fail(err)
 		return
@@ -474,14 +486,16 @@ func (r *run) beginTraining() {
 		ClusterNodes: r.cfg.Cluster.Size(),
 		Start:        start,
 	})
-	note := fmt.Sprintf("%d trials x %d iters @ %d GPUs/trial", st.Trials, st.Iters, per)
-	if r.replanAdopted {
-		// Annotate the migration churn a spliced plan induced. Notes are
-		// excluded from run digests, so the annotation cannot perturb
-		// replay or worker-invariance checks.
-		note += fmt.Sprintf(", %d gang(s) moved", placement.Moves(prev, r.plan))
+	if r.tr != nil {
+		note := fmt.Sprintf("%d trials x %d iters @ %d GPUs/trial", st.Trials, st.Iters, per)
+		if r.replanAdopted {
+			// Annotate the migration churn a spliced plan induced. Notes
+			// are excluded from run digests, so the annotation cannot
+			// perturb replay or worker-invariance checks.
+			note += fmt.Sprintf(", %d gang(s) moved", placement.Moves(r.stagePlan, r.plan))
+		}
+		r.tr.Record(start, trace.KindStageStart, r.stage, -1, note)
 	}
-	r.tr.Record(start, trace.KindStageStart, r.stage, -1, note)
 
 	for _, t := range runnable {
 		r.startTrial(t, r.stage > 0)
@@ -514,20 +528,19 @@ func (r *run) stageEndIters() int {
 // not the preemption hit a running trial), and a slot hand-off may
 // place a queued trial onto one that arrived since the last placement.
 func (r *run) place() error {
-	allocs := r.allocsMap()
 	nodes := r.cfg.Cluster.Nodes()
-	r.nodeByID = make(map[cluster.NodeID]*cluster.Node, len(nodes))
+	clear(r.nodeByID)
 	for _, n := range nodes {
 		r.nodeByID[n.ID] = n
 	}
 	if r.cfg.DisablePlacement {
-		r.plan = scatter(allocs, nodes, r.plan)
+		r.plan = scatter(r.soa.alloc, nodes, r.plan)
 		if r.plan == nil {
 			return fmt.Errorf("executor: scatter placement failed")
 		}
 		return nil
 	}
-	plan, err := r.ctrl.Update(allocs, nodes)
+	plan, err := r.ctrl.Update(r.soa.alloc, nodes)
 	if err != nil {
 		return err
 	}
@@ -537,26 +550,23 @@ func (r *run) place() error {
 
 // scatter assigns GPUs one at a time to the node with the most free
 // capacity — a worst-fit spread that models a locality-unaware scheduler.
-// Trials already placed in prev keep their gangs when the allocation is
-// unchanged and every node still has the capacity: a slot hand-off or a
-// recovery re-place must not teleport a running gang to different GPUs
-// mid-iteration, or the freed-looking GPUs get double-booked (the same
-// preservation contract as placement.Controller.Update).
-func scatter(allocs map[placement.TrialID]int, nodes []*cluster.Node, prev placement.Plan) placement.Plan {
+// allocs is the dense allocation column (negative: no slot), so trials
+// are visited in ascending ID order. Trials already placed in prev keep
+// their gangs when the allocation is unchanged and every node still has
+// the capacity: a slot hand-off or a recovery re-place must not teleport
+// a running gang to different GPUs mid-iteration, or the freed-looking
+// GPUs get double-booked (the same preservation contract as
+// placement.Controller.Update).
+func scatter(allocs []int32, nodes []*cluster.Node, prev placement.Plan) placement.Plan {
 	free := make(map[cluster.NodeID]int, len(nodes))
 	for _, n := range nodes {
 		free[n.ID] = n.GPUs
 	}
-	ids := make([]placement.TrialID, 0, len(allocs))
-	for t := range allocs {
-		ids = append(ids, t)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-	plan := make(placement.Plan, len(allocs))
-	for _, t := range ids {
+	plan := make(placement.Plan)
+	for id, want := range allocs {
+		t := placement.TrialID(id)
 		asg, ok := prev[t]
-		if !ok || asg.GPUs() != allocs[t] {
+		if want < 0 || !ok || asg.GPUs() != int(want) {
 			continue
 		}
 		for nid, g := range asg {
@@ -567,19 +577,18 @@ func scatter(allocs map[placement.TrialID]int, nodes []*cluster.Node, prev place
 		if !ok {
 			continue // a gang node vanished (preemption); re-place below
 		}
-		kept := make(placement.Assignment, len(asg))
 		for nid, g := range asg {
 			free[nid] -= g
-			kept[nid] = g
 		}
-		plan[t] = kept
+		plan[t] = asg // assignments are never modified once built
 	}
-	for _, t := range ids {
-		if _, done := plan[t]; done {
+	for id, want := range allocs {
+		t := placement.TrialID(id)
+		if _, done := plan[t]; want < 0 || done {
 			continue
 		}
 		asg := make(placement.Assignment)
-		for g := 0; g < allocs[t]; g++ {
+		for g := 0; g < int(want); g++ {
 			best := cluster.NodeID(-1)
 			bestFree := -1
 			for _, n := range nodes {
@@ -626,8 +635,10 @@ func (r *run) startTrial(t *trial.Trial, withRestore bool) {
 	if !r.checkpoint(t) {
 		return
 	}
-	r.tr.RecordGang(now, trace.KindTrialStart, r.stage, int(t.ID()), gpus, nodes,
-		fmt.Sprintf("%d GPUs on %d nodes", gpus, nodes))
+	if r.tr != nil {
+		r.tr.RecordGang(now, trace.KindTrialStart, r.stage, int(t.ID()), gpus, nodes,
+			fmt.Sprintf("%d GPUs on %d nodes", gpus, nodes))
+	}
 	r.soa.left[t.ID()] = int32(r.stageEndIters() - t.CumIters())
 	r.cfg.Clock.AtOp(now+vclock.Time(restore), r.dispID, opBegin,
 		packTrial(t.ID(), r.soa.gen[t.ID()]), 0)
@@ -650,14 +661,16 @@ func (r *run) checkpoint(t *trial.Trial) bool {
 // it. Reading the gang from the live plan at both ends is sound because
 // placement preserves running gangs (the contract documented on scatter
 // and placement.Controller.Update); any move implies a restart, which
-// bumps the generation and strands this event.
+// bumps the generation and strands this event. The gang's GPU count is
+// its allocation, which placement realizes exactly.
+//
+//rbvet:noalloc
 func (r *run) runIteration(id trial.ID) {
 	if r.err != nil {
 		return
 	}
-	asg := r.plan[placement.TrialID(id)]
-	gpus, spread := asg.GPUs(), asg.Nodes()
-	dur := r.cfg.Model.IterLatencyDist(r.cfg.Batch, gpus, spread).Sample(r.cfg.RNG)
+	gpus, spread := int(r.soa.alloc[id]), len(r.plan[placement.TrialID(id)])
+	dur := r.cfg.Model.SampleIterLatency(r.cfg.Batch, gpus, spread, r.cfg.RNG)
 	if r.cfg.LatencyScale != nil {
 		// Drift injection: scale after the draw so the RNG stream is
 		// byte-identical with and without drift.
@@ -672,10 +685,9 @@ func (r *run) runIteration(id trial.ID) {
 // iteration or report the trial done with its stage budget.
 func (r *run) iterEnd(id trial.ID, dur float64) {
 	t := r.trials[int(id)]
-	asg := r.plan[placement.TrialID(id)]
-	gpus := asg.GPUs()
+	gpus := int(r.soa.alloc[id])
 	// Meter usage for per-function billing and utilization.
-	for nid, g := range asg {
+	for nid, g := range r.plan[placement.TrialID(id)] {
 		node := r.nodeByID[nid]
 		if node == nil {
 			r.fail(fmt.Errorf("executor: trial %d placed on missing node %d", id, nid))
@@ -683,7 +695,9 @@ func (r *run) iterEnd(id trial.ID, dur float64) {
 		}
 		r.cfg.Provider.RecordUsage(node.Instance, float64(g)*dur)
 	}
-	r.tr.AddBusy(float64(gpus) * dur)
+	busy := float64(gpus) * dur
+	r.busy += busy
+	r.tr.AddBusy(busy)
 
 	acc := r.cfg.Model.ObserveAccuracy(t.Config(), t.CumIters()+1, r.cfg.RNG)
 	now := r.cfg.Clock.Now()
@@ -691,14 +705,16 @@ func (r *run) iterEnd(id trial.ID, dur float64) {
 		r.fail(err)
 		return
 	}
-	r.tr.Record(now, trace.KindTrialIter, r.stage, int(id),
-		fmt.Sprintf("acc=%.4f", acc))
+	if r.tr != nil {
+		r.tr.Record(now, trace.KindTrialIter, r.stage, int(id), fmt.Sprintf("acc=%.4f", acc))
+	}
 	if rc := r.cfg.Replan; rc != nil {
 		// Feed the observation unconditionally; only replan when a
 		// future stage remains to be rewritten.
 		if rc.ObserveIteration(gpus, dur, now) && r.stage < r.cfg.Spec.NumStages()-1 {
-			r.tr.Record(now, trace.KindDriftTrigger, r.stage, int(id),
-				fmt.Sprintf("gpus=%d", gpus))
+			if r.tr != nil {
+				r.tr.Record(now, trace.KindDriftTrigger, r.stage, int(id), fmt.Sprintf("gpus=%d", gpus))
+			}
 			r.doReplan(replan.ReasonDrift)
 			if r.err != nil {
 				return
@@ -735,7 +751,9 @@ func (r *run) doReplan(reason replan.Reason) {
 		return
 	}
 	r.replans = append(r.replans, d)
-	r.tr.Record(now, trace.KindReplan, r.stage, -1, d.Note())
+	if r.tr != nil {
+		r.tr.Record(now, trace.KindReplan, r.stage, -1, d.Note())
+	}
 	if d.Adopted {
 		r.execPlan = d.NewPlan.Clone()
 		r.replanAdopted = true
@@ -817,8 +835,9 @@ func (r *run) onPreemption(node *cluster.Node) {
 	}
 	r.preemptions++
 	now := r.cfg.Clock.Now()
-	r.tr.Record(now, trace.KindScaleDown, r.stage, -1,
-		fmt.Sprintf("node %d preempted", node.ID))
+	if r.tr != nil {
+		r.tr.Record(now, trace.KindScaleDown, r.stage, -1, fmt.Sprintf("node %d preempted", node.ID))
+	}
 	if rc := r.cfg.Replan; rc != nil && r.stage < r.cfg.Spec.NumStages()-1 && rc.PreemptionTrigger(now) {
 		// The scale_down event above is the trigger evidence; no separate
 		// drift_trigger record for preemption-initiated replans.
@@ -934,6 +953,12 @@ func (r *run) syncBarrier() {
 	if !last {
 		keep = r.cfg.Spec.Stage(r.stage + 1).Trials
 	}
+	if r.tr != nil && !last {
+		// The loop below removes every trial from the controller's plan,
+		// which is r.plan; keep the stage's last placement for the next
+		// stage's churn note.
+		r.stagePlan = maps.Clone(r.plan)
+	}
 
 	for idx, t := range ranked {
 		pid := placement.TrialID(t.ID())
@@ -1010,7 +1035,7 @@ func (r *run) buildResult() *Result {
 		provisioned += in.BilledLifetime(now) * float64(in.Type.GPUs)
 	}
 	if provisioned > 0 {
-		res.Utilization = r.tr.BusyGPUSeconds() / provisioned
+		res.Utilization = r.busy / provisioned
 	}
 	return res
 }

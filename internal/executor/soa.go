@@ -1,9 +1,6 @@
 package executor
 
-import (
-	"repro/internal/placement"
-	"repro/internal/trial"
-)
+import "repro/internal/trial"
 
 // trialSoA holds the scheduler's per-trial state as dense parallel
 // arrays indexed by trial ID — struct-of-arrays instead of the former
@@ -117,18 +114,4 @@ func (s *trialSoA) fold() uint64 {
 		}
 	}
 	return h
-}
-
-// allocsMap materializes the active allocations as the map form the
-// placement controller consumes. Placement runs only at stage starts,
-// slot hand-offs, and preemption recoveries — cold paths — so the
-// transient map costs nothing where it matters.
-func (r *run) allocsMap() map[placement.TrialID]int {
-	m := make(map[placement.TrialID]int, r.soa.slots)
-	for id, g := range r.soa.alloc {
-		if g >= 0 {
-			m[placement.TrialID(id)] = int(g)
-		}
-	}
-	return m
 }

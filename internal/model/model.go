@@ -116,8 +116,26 @@ func (m *Model) IterLatencyDist(batch, gpus, nodes int) stats.Dist {
 	if m.IterNoiseStd == 0 {
 		return stats.Deterministic{Value: mean}
 	}
-	sigma := m.IterNoiseStd * mean / m.BaseIterSeconds
-	return stats.Normal{Mu: mean, Sigma: sigma}
+	return stats.Normal{Mu: mean, Sigma: m.iterSigma(mean)}
+}
+
+// SampleIterLatency draws one iteration latency from
+// IterLatencyDist(batch, gpus, nodes) with the same arithmetic and RNG
+// draws, without boxing the distribution: the executor calls it once
+// per training iteration.
+//
+//rbvet:noalloc
+func (m *Model) SampleIterLatency(batch, gpus, nodes int, r *stats.RNG) float64 {
+	mean := m.IterLatencyMean(batch, gpus, nodes)
+	if m.IterNoiseStd == 0 {
+		return mean
+	}
+	return stats.Normal{Mu: mean, Sigma: m.iterSigma(mean)}.Sample(r)
+}
+
+// iterSigma is the straggler σ for an iteration of the given mean.
+func (m *Model) iterSigma(mean float64) float64 {
+	return m.IterNoiseStd * mean / m.BaseIterSeconds
 }
 
 // quality maps a hyperparameter configuration to (0, 1]: 1 at the ideal

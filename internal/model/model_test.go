@@ -106,6 +106,34 @@ func TestIterLatencyDist(t *testing.T) {
 	}
 }
 
+// TestSampleIterLatencyMatchesDist: the unboxed draw returns what
+// sampling IterLatencyDist returns and leaves the generator in the same
+// state, with and without straggler noise, and allocates nothing.
+func TestSampleIterLatencyMatchesDist(t *testing.T) {
+	noisy := ResNet101()
+	quiet := *noisy
+	quiet.IterNoiseStd = 0
+	for _, m := range []*Model{noisy, &quiet} {
+		ra, rb := stats.NewRNG(7), stats.NewRNG(7)
+		for _, shape := range [][2]int{{1, 1}, {4, 1}, {8, 2}, {32, 8}} {
+			for i := 0; i < 50; i++ {
+				got := m.SampleIterLatency(m.BaseBatch, shape[0], shape[1], ra)
+				want := m.IterLatencyDist(m.BaseBatch, shape[0], shape[1]).Sample(rb)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("noise %v, gang %v, draw %d: %v != %v", m.IterNoiseStd, shape, i, got, want)
+				}
+			}
+		}
+		if ra.Uint64() != rb.Uint64() {
+			t.Fatalf("noise %v: generators diverged", m.IterNoiseStd)
+		}
+		r := stats.NewRNG(1)
+		if n := testing.AllocsPerRun(100, func() { m.SampleIterLatency(m.BaseBatch, 4, 1, r) }); n != 0 {
+			t.Errorf("noise %v: SampleIterLatency allocates %v times", m.IterNoiseStd, n)
+		}
+	}
+}
+
 func TestLearningCurveShape(t *testing.T) {
 	m := ResNet101()
 	cfg := searchspace.Config{"lr": math.Exp(m.Curve.OptLogLR)}

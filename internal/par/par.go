@@ -12,21 +12,9 @@
 package par
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
-
-// Workers resolves a worker-count knob: n > 0 is used as given, anything
-// else selects runtime.GOMAXPROCS(0).
-//
-//rbvet:impure(GOMAXPROCS only picks the worker count; the index-addressed contract makes results bit-identical at any count)
-func Workers(n int) int {
-	if n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // ForEach invokes fn(i) for every i in [0, n), fanning the calls across at
 // most workers goroutines, and returns once all calls have completed.

@@ -1,20 +1,10 @@
 package par
 
 import (
-	"runtime"
+	"fmt"
 	"sync/atomic"
 	"testing"
 )
-
-func TestWorkersResolution(t *testing.T) {
-	if Workers(3) != 3 {
-		t.Errorf("Workers(3) = %d", Workers(3))
-	}
-	want := runtime.GOMAXPROCS(0)
-	if Workers(0) != want || Workers(-1) != want {
-		t.Errorf("Workers(0)/Workers(-1) = %d/%d, want %d", Workers(0), Workers(-1), want)
-	}
-}
 
 // TestForEachVisitsEachIndexOnce checks the exactly-once contract across a
 // range of worker counts, including workers > n and the serial path.
@@ -60,5 +50,19 @@ func TestForEachConcurrentCalls(t *testing.T) {
 	})
 	if total != 200 {
 		t.Fatalf("nested ForEach ran %d inner calls, want 200", total)
+	}
+}
+
+// BenchmarkForEachWorker20 measures the fan-out's fixed cost on the
+// simulator's default Monte-Carlo shape (sim.DefaultSamples = 20 items)
+// with trivial items: the price a serial default avoids.
+func BenchmarkForEachWorker20(b *testing.B) {
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			out := make([]int, 20)
+			for i := 0; i < b.N; i++ {
+				ForEachWorker(len(out), workers, func(_, k int) { out[k] = k })
+			}
+		})
 	}
 }

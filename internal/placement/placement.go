@@ -17,7 +17,9 @@
 package placement
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cluster"
@@ -95,6 +97,15 @@ type Controller struct {
 	nodeGPUs int
 	current  Plan
 	locked   map[TrialID]bool
+
+	// Scratch reused by every Update, so an epoch allocates only the
+	// assignments it builds: next is the plan under construction (it
+	// becomes current on success), free the per-node capacity left,
+	// placedNow the trials placed this epoch, queue the trials waiting.
+	next      Plan
+	free      map[cluster.NodeID]int
+	placedNow map[TrialID]bool
+	queue     []TrialID
 }
 
 // NewController returns a controller for nodes with nodeGPUs accelerators
@@ -104,9 +115,12 @@ func NewController(nodeGPUs int) *Controller {
 		panic(fmt.Sprintf("placement: nodeGPUs = %d", nodeGPUs))
 	}
 	return &Controller{
-		nodeGPUs: nodeGPUs,
-		current:  make(Plan),
-		locked:   make(map[TrialID]bool),
+		nodeGPUs:  nodeGPUs,
+		current:   make(Plan),
+		locked:    make(map[TrialID]bool),
+		next:      make(Plan),
+		free:      make(map[cluster.NodeID]int),
+		placedNow: make(map[TrialID]bool),
 	}
 }
 
@@ -121,32 +135,47 @@ func (c *Controller) Lock(t TrialID) { c.locked[t] = true }
 func (c *Controller) Unlock(t TrialID) { delete(c.locked, t) }
 
 // Remove drops a trial (terminated or finished) from the plan, freeing its
-// resources for the next Update.
+// resources for the next Update. It deletes the trial from the plan the
+// last Update returned.
 func (c *Controller) Remove(t TrialID) {
 	delete(c.current, t)
 	delete(c.locked, t)
 }
 
-// node tracks capacity during one Update pass.
-type node struct {
-	id   cluster.NodeID
-	free int
+// allocOf returns trial t's GPU allocation from a dense allocation
+// vector, or -1 when t holds none.
+func allocOf(allocs []int32, t TrialID) int {
+	if int(t) >= len(allocs) {
+		return -1
+	}
+	return int(allocs[t])
 }
 
-// Update computes a placement plan satisfying allocs (trial -> GPUs) over
-// the given nodes, implementing Algorithm 3. Trials already placed with an
-// unchanged allocation keep their assignment; others are (re)placed
-// best-fit in descending allocation order, displacing smaller unlocked
-// trials when necessary. It returns the new plan, which also becomes the
-// controller's current plan. An error is returned if total demand exceeds
-// capacity or a locked trial's allocation changed.
-func (c *Controller) Update(allocs map[TrialID]int, nodes []*cluster.Node) (Plan, error) {
-	demand := 0
+// Update computes a placement plan satisfying allocs over the given
+// nodes, implementing Algorithm 3. allocs is indexed by TrialID:
+// allocs[t] is trial t's GPU count, and a negative entry means trial t
+// holds no allocation. Trials already placed with an unchanged
+// allocation keep their assignment; others are (re)placed best-fit in
+// descending allocation order, displacing smaller unlocked trials when
+// necessary. An error is returned, and the current plan left as it was,
+// if total demand exceeds capacity, a trial is allocated 0 GPUs, a
+// locked trial's allocation changed, or the trials cannot be packed.
+//
+// The returned plan is the controller's current plan, not a copy:
+// Remove deletes from it and the next Update reuses its storage, so
+// callers must not modify it and must copy it to keep it longer. Its
+// assignments are never modified once built, and may be kept.
+func (c *Controller) Update(allocs []int32, nodes []*cluster.Node) (Plan, error) {
+	demand, live := 0, 0
 	for t, g := range allocs {
-		if g < 1 {
+		if g < 0 {
+			continue
+		}
+		if g == 0 {
 			return nil, fmt.Errorf("placement: trial %d allocated %d GPUs", t, g)
 		}
-		demand += g
+		demand += int(g)
+		live++
 	}
 	capacity := 0
 	for _, n := range nodes {
@@ -158,15 +187,18 @@ func (c *Controller) Update(allocs map[TrialID]int, nodes []*cluster.Node) (Plan
 
 	// Start from assignments that can be preserved: trials present in the
 	// current plan with an unchanged allocation and whose nodes all still
-	// exist (remove_discrepancies).
-	nodeSet := make(map[cluster.NodeID]int, len(nodes)) // id -> capacity
+	// exist (remove_discrepancies). Preserved assignments are shared, not
+	// copied: nothing modifies an assignment once it is built.
+	free := c.free
+	clear(free)
 	for _, n := range nodes {
-		nodeSet[n.ID] = n.GPUs
+		free[n.ID] = n.GPUs
 	}
-	plan := make(Plan, len(allocs))
+	plan := c.next
+	clear(plan)
 	for t, a := range c.current {
-		want, live := allocs[t]
-		if !live {
+		want := allocOf(allocs, t)
+		if want < 0 {
 			if c.locked[t] {
 				return nil, fmt.Errorf("placement: locked trial %d removed from allocation", t)
 			}
@@ -174,28 +206,23 @@ func (c *Controller) Update(allocs map[TrialID]int, nodes []*cluster.Node) (Plan
 		}
 		ok := a.GPUs() == want
 		for nid := range a {
-			if _, exists := nodeSet[nid]; !exists {
+			if _, exists := free[nid]; !exists {
 				ok = false
 			}
 		}
 		if ok {
-			plan[t] = a.clone()
+			plan[t] = a
 		} else if c.locked[t] {
 			return nil, fmt.Errorf("placement: locked trial %d needs reallocation", t)
 		}
 	}
 
 	// Fast path: everything preserved.
-	if len(plan) == len(allocs) {
-		c.current = plan
-		return plan.clone(), nil
+	if len(plan) == live {
+		return c.commit(plan), nil
 	}
 
 	// Compute free capacity under the preserved assignments.
-	free := make(map[cluster.NodeID]int, len(nodes))
-	for id, cap := range nodeSet {
-		free[id] = cap
-	}
 	for _, a := range plan {
 		for nid, g := range a {
 			free[nid] -= g
@@ -209,32 +236,39 @@ func (c *Controller) Update(allocs map[TrialID]int, nodes []*cluster.Node) (Plan
 	// sort_by_alloc descending). Trials placed during this epoch cannot
 	// themselves be displaced — each queued trial gets exactly one
 	// placement opportunity, which guarantees termination.
-	var queue []TrialID
-	for t := range allocs {
-		if _, done := plan[t]; !done {
-			queue = append(queue, t)
+	queue := c.queue[:0]
+	for t, g := range allocs {
+		if _, done := plan[TrialID(t)]; g >= 0 && !done {
+			queue = append(queue, TrialID(t))
 		}
 	}
 	sortTrials(queue, allocs)
 
-	placedNow := make(map[TrialID]bool)
-	for len(queue) > 0 {
-		t := queue[0]
-		queue = queue[1:]
-		want := allocs[t]
-		asg, displaced, err := c.place(t, want, plan, free, placedNow)
+	placedNow := c.placedNow
+	clear(placedNow)
+	for i := 0; i < len(queue); i++ {
+		t := queue[i]
+		asg, displaced, err := c.place(t, int(allocs[t]), plan, free, placedNow)
 		if err != nil {
+			c.queue = queue[:0]
 			return nil, err
 		}
 		plan[t] = asg
 		placedNow[t] = true
 		if len(displaced) > 0 {
 			queue = append(queue, displaced...)
-			sortTrials(queue, allocs)
+			sortTrials(queue[i+1:], allocs)
 		}
 	}
-	c.current = plan
-	return plan.clone(), nil
+	c.queue = queue[:0]
+	return c.commit(plan), nil
+}
+
+// commit makes the finished plan current and keeps the previous one's
+// storage for the next Update to build in.
+func (c *Controller) commit(plan Plan) Plan {
+	c.current, c.next = plan, c.current
+	return plan
 }
 
 // place assigns want GPUs to trial t, mutating plan and free. It may
@@ -321,13 +355,14 @@ func (c *Controller) pickVictim(plan Plan, free map[cluster.NodeID]int, unit int
 }
 
 // sortTrials orders trials by allocation descending, breaking ties by ID
-// for determinism.
-func sortTrials(ts []TrialID, allocs map[TrialID]int) {
-	sort.Slice(ts, func(i, j int) bool {
-		if allocs[ts[i]] != allocs[ts[j]] {
-			return allocs[ts[i]] > allocs[ts[j]]
+// for determinism. The order is strict and total, so any sort algorithm
+// yields the same sequence.
+func sortTrials(ts []TrialID, allocs []int32) {
+	slices.SortFunc(ts, func(a, b TrialID) int {
+		if c := cmp.Compare(allocs[b], allocs[a]); c != 0 {
+			return c
 		}
-		return ts[i] < ts[j]
+		return cmp.Compare(a, b)
 	})
 }
 

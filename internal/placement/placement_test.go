@@ -53,6 +53,23 @@ func checkPlan(t *testing.T, plan Plan, allocs map[TrialID]int, nodes []*cluster
 	}
 }
 
+// dense converts a sparse trial → GPUs map into the allocation vector
+// Update takes, with -1 for the trials the map leaves out.
+func dense(allocs map[TrialID]int) []int32 {
+	n := 0
+	for t := range allocs {
+		n = max(n, int(t)+1)
+	}
+	v := make([]int32, n)
+	for i := range v {
+		v[i] = -1
+	}
+	for t, g := range allocs {
+		v[t] = int32(g)
+	}
+	return v
+}
+
 func TestNewControllerPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -66,7 +83,7 @@ func TestSimplePlacement(t *testing.T) {
 	c := NewController(4)
 	nodes := mkNodes(2, 4)
 	allocs := map[TrialID]int{0: 2, 1: 2, 2: 4}
-	plan, err := c.Update(allocs, nodes)
+	plan, err := c.Update(dense(allocs), nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +98,7 @@ func TestWholeNodeTrials(t *testing.T) {
 	c := NewController(4)
 	nodes := mkNodes(3, 4)
 	allocs := map[TrialID]int{0: 8, 1: 4}
-	plan, err := c.Update(allocs, nodes)
+	plan, err := c.Update(dense(allocs), nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,14 +110,14 @@ func TestWholeNodeTrials(t *testing.T) {
 
 func TestDemandExceedsCapacity(t *testing.T) {
 	c := NewController(4)
-	if _, err := c.Update(map[TrialID]int{0: 9}, mkNodes(2, 4)); err == nil {
+	if _, err := c.Update(dense(map[TrialID]int{0: 9}), mkNodes(2, 4)); err == nil {
 		t.Fatal("oversubscription accepted")
 	}
 }
 
 func TestZeroAllocationRejected(t *testing.T) {
 	c := NewController(4)
-	if _, err := c.Update(map[TrialID]int{0: 0}, mkNodes(1, 4)); err == nil {
+	if _, err := c.Update(dense(map[TrialID]int{0: 0}), mkNodes(1, 4)); err == nil {
 		t.Fatal("zero allocation accepted")
 	}
 }
@@ -109,14 +126,14 @@ func TestPreservationAcrossEpochs(t *testing.T) {
 	c := NewController(4)
 	nodes := mkNodes(4, 4)
 	allocs := map[TrialID]int{0: 4, 1: 4, 2: 4, 3: 4}
-	plan1, err := c.Update(allocs, nodes)
+	plan1, err := c.Update(dense(allocs), nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Trial 3 finishes; the rest keep their allocation. Their placements
 	// must be untouched.
 	delete(allocs, 3)
-	plan2, err := c.Update(allocs, nodes)
+	plan2, err := c.Update(dense(allocs), nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,14 +149,14 @@ func TestPreservationAcrossEpochs(t *testing.T) {
 func TestReallocationTriggersMove(t *testing.T) {
 	c := NewController(4)
 	nodes := mkNodes(4, 4)
-	plan1, err := c.Update(map[TrialID]int{0: 2, 1: 2, 2: 2, 3: 2}, nodes)
+	plan1, err := c.Update(dense(map[TrialID]int{0: 2, 1: 2, 2: 2, 3: 2}), nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = plan1
 	// Stage transition: two survivors double their allocation.
 	allocs := map[TrialID]int{0: 4, 1: 4}
-	plan2, err := c.Update(allocs, nodes)
+	plan2, err := c.Update(dense(allocs), nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,13 +173,13 @@ func TestDisplacementMakesRoom(t *testing.T) {
 	c := NewController(4)
 	nodes := mkNodes(2, 4)
 	// Two small trials land anywhere.
-	if _, err := c.Update(map[TrialID]int{10: 1, 11: 1}, nodes); err != nil {
+	if _, err := c.Update(dense(map[TrialID]int{10: 1, 11: 1}), nodes); err != nil {
 		t.Fatal(err)
 	}
 	// Now a 4-GPU trial arrives; if the small trials sit on different
 	// nodes, one must be displaced so the big trial gets a full node.
 	allocs := map[TrialID]int{10: 1, 11: 1, 12: 4}
-	plan, err := c.Update(allocs, nodes)
+	plan, err := c.Update(dense(allocs), nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,13 +192,13 @@ func TestDisplacementMakesRoom(t *testing.T) {
 func TestLockedTrialNotDisplaced(t *testing.T) {
 	c := NewController(4)
 	nodes := mkNodes(2, 4)
-	if _, err := c.Update(map[TrialID]int{0: 3, 1: 3}, nodes); err != nil {
+	if _, err := c.Update(dense(map[TrialID]int{0: 3, 1: 3}), nodes); err != nil {
 		t.Fatal(err)
 	}
 	c.Lock(0)
 	c.Lock(1)
 	// A 4-GPU trial cannot be placed without displacing a locked trial.
-	if _, err := c.Update(map[TrialID]int{0: 3, 1: 3, 2: 4}, nodes); err == nil {
+	if _, err := c.Update(dense(map[TrialID]int{0: 3, 1: 3, 2: 4}), nodes); err == nil {
 		t.Fatal("placement succeeded despite locked trials blocking")
 	}
 	// After unlocking, displacement succeeds... but capacity (3+3+4=10)
@@ -189,7 +206,7 @@ func TestLockedTrialNotDisplaced(t *testing.T) {
 	c.Unlock(0)
 	c.Unlock(1)
 	allocs := map[TrialID]int{0: 3, 2: 4}
-	plan, err := c.Update(allocs, nodes)
+	plan, err := c.Update(dense(allocs), nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,14 +216,14 @@ func TestLockedTrialNotDisplaced(t *testing.T) {
 func TestLockedTrialReallocationErrors(t *testing.T) {
 	c := NewController(4)
 	nodes := mkNodes(1, 4)
-	if _, err := c.Update(map[TrialID]int{0: 2}, nodes); err != nil {
+	if _, err := c.Update(dense(map[TrialID]int{0: 2}), nodes); err != nil {
 		t.Fatal(err)
 	}
 	c.Lock(0)
-	if _, err := c.Update(map[TrialID]int{0: 4}, nodes); err == nil {
+	if _, err := c.Update(dense(map[TrialID]int{0: 4}), nodes); err == nil {
 		t.Fatal("locked reallocation accepted")
 	}
-	if _, err := c.Update(map[TrialID]int{}, nodes); err == nil {
+	if _, err := c.Update(dense(map[TrialID]int{}), nodes); err == nil {
 		t.Fatal("locked removal accepted")
 	}
 }
@@ -214,7 +231,7 @@ func TestLockedTrialReallocationErrors(t *testing.T) {
 func TestRemove(t *testing.T) {
 	c := NewController(4)
 	nodes := mkNodes(1, 4)
-	if _, err := c.Update(map[TrialID]int{0: 4}, nodes); err != nil {
+	if _, err := c.Update(dense(map[TrialID]int{0: 4}), nodes); err != nil {
 		t.Fatal(err)
 	}
 	c.Remove(0)
@@ -222,7 +239,7 @@ func TestRemove(t *testing.T) {
 		t.Fatal("Remove left placement behind")
 	}
 	// Freed capacity is immediately reusable.
-	plan, err := c.Update(map[TrialID]int{1: 4}, nodes)
+	plan, err := c.Update(dense(map[TrialID]int{1: 4}), nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,12 +251,12 @@ func TestRemove(t *testing.T) {
 func TestNodeRemovalForcesReplacement(t *testing.T) {
 	c := NewController(4)
 	nodes := mkNodes(2, 4)
-	if _, err := c.Update(map[TrialID]int{0: 4, 1: 4}, nodes); err != nil {
+	if _, err := c.Update(dense(map[TrialID]int{0: 4, 1: 4}), nodes); err != nil {
 		t.Fatal(err)
 	}
 	// Node 1 is drained away; trial on it must be replaced onto node 0.
 	allocs := map[TrialID]int{0: 4}
-	plan, err := c.Update(allocs, nodes[:1])
+	plan, err := c.Update(dense(allocs), nodes[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +266,7 @@ func TestNodeRemovalForcesReplacement(t *testing.T) {
 func TestDrainOrderPrefersEmptyNodes(t *testing.T) {
 	c := NewController(4)
 	nodes := mkNodes(3, 4)
-	if _, err := c.Update(map[TrialID]int{0: 4, 1: 2}, nodes); err != nil {
+	if _, err := c.Update(dense(map[TrialID]int{0: 4, 1: 2}), nodes); err != nil {
 		t.Fatal(err)
 	}
 	order := c.DrainOrder(nodes)
@@ -274,7 +291,7 @@ func TestDrainOrderPrefersEmptyNodes(t *testing.T) {
 func TestCurrentIsCopy(t *testing.T) {
 	c := NewController(4)
 	nodes := mkNodes(1, 4)
-	if _, err := c.Update(map[TrialID]int{0: 2}, nodes); err != nil {
+	if _, err := c.Update(dense(map[TrialID]int{0: 2}), nodes); err != nil {
 		t.Fatal(err)
 	}
 	snap := c.Current()
@@ -311,7 +328,7 @@ func TestQuickPlacementInvariants(t *testing.T) {
 		if len(allocs) == 0 {
 			return true
 		}
-		plan, err := c.Update(allocs, nodes)
+		plan, err := c.Update(dense(allocs), nodes)
 		if err != nil {
 			return true // fragmentation can make co-location impossible
 		}
@@ -353,7 +370,7 @@ func TestQuickFairWorkloadsAlwaysPlace(t *testing.T) {
 		for i := 0; i < trials; i++ {
 			allocs[TrialID(i)] = per
 		}
-		plan, err := c.Update(allocs, nodes)
+		plan, err := c.Update(dense(allocs), nodes)
 		if err != nil {
 			return false
 		}
@@ -434,11 +451,11 @@ func TestQuickPlacementStable(t *testing.T) {
 		if len(allocs) == 0 {
 			return true
 		}
-		p1, err := c.Update(allocs, nodes)
+		p1, err := c.Update(dense(allocs), nodes)
 		if err != nil {
 			return false
 		}
-		p2, err := c.Update(allocs, nodes)
+		p2, err := c.Update(dense(allocs), nodes)
 		if err != nil {
 			return false
 		}
@@ -475,7 +492,7 @@ func TestPickVictimTieDeterministic(t *testing.T) {
 		// Epoch 1 fills both nodes so that trial 10 lands on node 0 and
 		// trial 98 on node 1.
 		first := map[TrialID]int{10: 1, 20: 1, 98: 1, 99: 1}
-		if _, err := c.Update(first, nodes); err != nil {
+		if _, err := c.Update(dense(first), nodes); err != nil {
 			t.Fatal(err)
 		}
 		c.Remove(20)
@@ -485,7 +502,7 @@ func TestPickVictimTieDeterministic(t *testing.T) {
 		// 10 or trial 98 (1 GPU each — a tie) would free one. The victim
 		// must always be trial 10, the smaller ID.
 		second := map[TrialID]int{10: 1, 98: 1, 30: 2}
-		plan, err := c.Update(second, nodes)
+		plan, err := c.Update(dense(second), nodes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -554,5 +571,48 @@ func TestMoves(t *testing.T) {
 	// Trials dropped from next don't count: only next's gangs migrate.
 	if got := Moves(prev, Plan{0: {0: 4}}); got != 0 {
 		t.Fatalf("Moves after termination = %d, want 0", got)
+	}
+}
+
+// handoffAllocs measures one slot hand-off Update with placed 1-GPU
+// trials on 16 four-GPU nodes: the trial after the idle one leaves and
+// the idle one takes a slot on the same nodes, so every measured Update
+// has the same shape.
+func handoffAllocs(t *testing.T, placed int) float64 {
+	t.Helper()
+	nodes := mkNodes(16, 4)
+	c := NewController(4)
+	allocs := make([]int32, placed+1)
+	for i := range allocs {
+		allocs[i] = 1
+	}
+	idle := placed
+	allocs[idle] = -1
+	if _, err := c.Update(allocs, nodes); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	n := testing.AllocsPerRun(50, func() {
+		out := (idle + 1) % len(allocs)
+		c.Remove(TrialID(out))
+		allocs[out], allocs[idle] = -1, 1
+		idle = out
+		_, err = c.Update(allocs, nodes)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestHandoffUpdateAllocs: a slot hand-off allocates only the one
+// assignment it builds, however many trials stay placed — Update shares
+// the preserved assignments instead of deep-copying them and builds the
+// plan in reused storage.
+func TestHandoffUpdateAllocs(t *testing.T) {
+	few, many := handoffAllocs(t, 8), handoffAllocs(t, 64)
+	t.Logf("hand-off Update: %.0f allocs with 8 trials placed, %.0f with 64", few, many)
+	if few != many {
+		t.Errorf("hand-off Update allocates %.0f times with 8 trials placed but %.0f with 64", few, many)
 	}
 }

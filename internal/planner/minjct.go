@@ -43,7 +43,7 @@ func (p *Planner) PlanMinJCT(budget float64) (Result, error) {
 	p.pruneEnumeration(scr, cands, keep, budget, true)
 	ests := make([]sim.Estimate, n)
 	errs := make([]error, n)
-	par.ForEach(n, par.Workers(p.Workers), func(i int) {
+	par.ForEach(n, p.Workers, func(i int) {
 		if keep[i] {
 			ests[i], errs[i] = p.estimate(cands[i])
 		}
@@ -82,7 +82,7 @@ func (p *Planner) PlanMinJCT(budget float64) (Result, error) {
 		p.pruneDescentStep(scr, cands, ckeep, cur, budget, true)
 		candEsts := make([]sim.Estimate, len(cands))
 		candErrs := make([]error, len(cands))
-		par.ForEach(len(cands), par.Workers(p.Workers), func(i int) {
+		par.ForEach(len(cands), p.Workers, func(i int) {
 			if ckeep[i] {
 				candEsts[i], candErrs[i] = p.estimate(cands[i])
 			}

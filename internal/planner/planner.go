@@ -79,10 +79,10 @@ type Planner struct {
 	DisableFrontierDedupe bool
 	// Workers bounds the goroutines that evaluate candidate plans
 	// concurrently (independent of the simulator's own Monte-Carlo worker
-	// pool). Zero selects GOMAXPROCS; 1 forces serial evaluation. Because
-	// sim.Estimate is a pure function of the plan and every selection
-	// reduces in fixed candidate order, results are bit-identical at any
-	// worker count.
+	// pool). Zero or 1 evaluates serially; the planner fans out only when
+	// this is above 1. Because sim.Estimate is a pure function of the
+	// plan and every selection reduces in fixed candidate order, results
+	// are bit-identical at any worker count.
 	Workers int
 
 	// memo caches plan evaluations across the whole search, keyed by the
@@ -211,7 +211,7 @@ func (p *Planner) planStatic(scr *frontierScreen) (Result, error) {
 	ests := make([]sim.Estimate, n)
 	oks := make([]bool, n)
 	errs := make([]error, n)
-	par.ForEach(n, par.Workers(p.Workers), func(i int) {
+	par.ForEach(n, p.Workers, func(i int) {
 		if !keep[i] {
 			return
 		}
@@ -257,7 +257,7 @@ func (p *Planner) PlanNaiveElastic() (Result, error) {
 	plans := make([]sim.Plan, kMax)
 	ests := make([]sim.Estimate, kMax)
 	errs := make([]error, kMax)
-	par.ForEach(kMax, par.Workers(p.Workers), func(i int) {
+	par.ForEach(kMax, p.Workers, func(i int) {
 		k := i + 1
 		alloc := make([]int, sp.NumStages())
 		for j := range alloc {
@@ -354,7 +354,7 @@ func (p *Planner) optimize(scr *frontierScreen, start Result) (Result, error) {
 		p.pruneDescentStep(scr, cands, keep, cur, p.Deadline, false)
 		ests := make([]sim.Estimate, len(cands))
 		errs := make([]error, len(cands))
-		par.ForEach(len(cands), par.Workers(p.Workers), func(i int) {
+		par.ForEach(len(cands), p.Workers, func(i int) {
 			if keep[i] {
 				ests[i], errs[i] = p.estimate(cands[i])
 			}

@@ -73,7 +73,7 @@ type Config struct {
 	// Zero selects sim.DefaultSamples.
 	Samples int
 	// Workers bounds replanning concurrency (simulator fan-out and
-	// candidate evaluation). Zero selects GOMAXPROCS; output is
+	// candidate evaluation). Zero or 1 is serial; output is
 	// bit-identical at any setting.
 	Workers int
 	// Estimator selects the replanning simulator's estimator mode (the

@@ -297,14 +297,7 @@ func (s *Simulator) segmentSamples(sg *segment) []segSample {
 // workerSlots returns the number of distinct worker slots a Monte-Carlo
 // fan-out over s.samples can occupy (see par.ForEachWorker).
 func (s *Simulator) workerSlots() int {
-	n := s.Workers()
-	if n > s.samples {
-		n = s.samples
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return max(min(s.Workers(), s.samples), 1)
 }
 
 // sampleVectors produces the per-stage sample vectors for a compiled

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/dag"
-	"repro/internal/par"
 	"repro/internal/placement"
 	"repro/internal/spec"
 	"repro/internal/stats"
@@ -40,7 +39,7 @@ type Simulator struct {
 	profile TrainProfile
 	cloud   CloudProfile
 	samples int
-	// workers bounds the Monte-Carlo fan-out; <= 0 selects GOMAXPROCS.
+	// workers bounds the Monte-Carlo fan-out; <= 1 samples serially.
 	workers int
 	// estimator selects the Monte-Carlo stream discipline (see
 	// EstimatorMode).
@@ -69,9 +68,10 @@ type Simulator struct {
 type Option func(*Simulator)
 
 // WithWorkers bounds the worker pool Estimate and Breakdown fan Monte-
-// Carlo samples across. n <= 0 (the default) selects GOMAXPROCS; 1 forces
-// fully serial sampling. The estimate is bit-identical at every worker
-// count — the knob trades goroutine overhead against wall-clock time only.
+// Carlo samples across. n <= 1 (the default is 0) samples serially; the
+// simulator fans out only when n > 1. The estimate is bit-identical at
+// every worker count — the knob trades goroutine overhead against
+// wall-clock time only.
 func WithWorkers(n int) Option { return func(s *Simulator) { s.workers = n } }
 
 // DefaultSamples is the Monte-Carlo sample count used when the caller does
@@ -114,8 +114,8 @@ func New(s *spec.ExperimentSpec, profile TrainProfile, cp CloudProfile, samples 
 	return sm, nil
 }
 
-// Workers returns the resolved Monte-Carlo worker bound.
-func (s *Simulator) Workers() int { return par.Workers(s.workers) }
+// Workers returns the Monte-Carlo worker bound, at least 1 (serial).
+func (s *Simulator) Workers() int { return max(s.workers, 1) }
 
 // Samples returns the Monte-Carlo sample count; callers sizing safety
 // margins around sampled means divide the spread by its square root.
