@@ -81,6 +81,7 @@ fuzz-short:
 	go test ./internal/harness -run='^$$' -fuzz=FuzzRecover -fuzztime=30s
 	go test ./internal/journal -run='^$$' -fuzz=FuzzJournalRoundTrip -fuzztime=30s
 	go test ./internal/planner -run='^$$' -fuzz=FuzzPlanElastic -fuzztime=30s
+	go test ./internal/sim -run='^$$' -fuzz=FuzzSegmentClosedForm -fuzztime=30s
 
 # Deterministic reproducibility harness (see tools/repro/run.sh for the
 # RB_RUN_REPEATABILITY / RB_RUN_BENCH gates).

@@ -81,12 +81,12 @@ var effectNames = []struct {
 // by types.Func.FullName.
 var memoizedRoots = map[string]string{
 	"(*repro/internal/sim.Simulator).buildSegment": "segment LRU (sim.segs)",
-	"(*repro/internal/sim.segment).eval":           "segment table's sample slot (segment.samples)",
+	"(*repro/internal/sim.segment).sample":         "segment table's sample slot (segment.samples)",
 	"(*repro/internal/sim.segment).moments":        "segment table's moment slot (segment.mom)",
 	"(*repro/internal/sim.Simulator).Estimate":     "planner memo cache (Planner.memo)",
 	"(repro/internal/sim.Plan).Key":                "plan LRU / memo keys",
-	"(*repro/internal/dag.Program).SampleInto":     "compiled programs sampled into the segment table",
-	"(*repro/internal/dag.Program).MomentsInto":    "compiled programs moment-propagated into the segment table",
+	"(*repro/internal/dag.Latency).Sample":         "segment latencies sampled into the segment table",
+	"(*repro/internal/dag.Latency).Moment":         "segment latencies moment-propagated into the segment table",
 }
 
 // pureExternalPkgs are standard-library packages whose functions are

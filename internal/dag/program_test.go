@@ -6,8 +6,8 @@ import (
 	"repro/internal/stats"
 )
 
-// opaque is a distribution type the compiler does not know, forcing the
-// dist-table fallback opcode.
+// opaque is a distribution type the Latency encoding does not know,
+// forcing the opaque fallback opcode.
 type opaque struct{ d stats.Dist }
 
 func (o opaque) Sample(r *stats.RNG) float64 { return o.d.Sample(r) }
@@ -111,27 +111,27 @@ func TestCompileRangeBounds(t *testing.T) {
 func TestBuilderRejectsMalformedPrograms(t *testing.T) {
 	for name, build := range map[string]func(){
 		"forward dep": func() {
-			b := NewBuilder(2, 1)
+			b := newBuilder(2, 1)
 			b.Dep(0)
 		},
 		"extra edge": func() {
-			b := NewBuilder(2, 1)
+			b := newBuilder(2, 1)
 			b.Add(nil)
 			b.Dep(0)
 			b.Dep(0)
 		},
 		"extra node": func() {
-			b := NewBuilder(1, 0)
+			b := newBuilder(1, 0)
 			b.Add(nil)
 			b.Add(nil)
 		},
 		"missing node": func() {
-			b := NewBuilder(2, 0)
+			b := newBuilder(2, 0)
 			b.Add(nil)
 			b.Program()
 		},
 		"missing edge": func() {
-			b := NewBuilder(2, 1)
+			b := newBuilder(2, 1)
 			b.Add(nil)
 			b.Add(nil)
 			b.Program()

@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"math"
+
 	"repro/internal/cloud"
-	"repro/internal/dag"
 	"repro/internal/stats"
 )
 
@@ -26,42 +27,143 @@ type segMoment struct {
 // segmentMoments returns the segment's analytic moments, filling its
 // slot on first use. The value is a pure function of the segment (itself
 // a pure function of the simulator configuration and the key), so benign
-// double computation under concurrent misses is harmless. sc is the
-// caller's scratch for the propagation pass.
+// double computation under concurrent misses is harmless.
 //
 //rbvet:pure
-func (s *Simulator) segmentMoments(sg *segment, sc *dag.MomentScratch) segMoment {
+func (s *Simulator) segmentMoments(sg *segment) segMoment {
 	s.mu.Lock()
 	v, ok := sg.mom, sg.momFilled
 	s.mu.Unlock()
 	if ok {
 		return v
 	}
-	v = sg.moments(sc)
+	v = sg.moments()
 	s.mu.Lock()
 	sg.mom, sg.momFilled = v, true
 	s.mu.Unlock()
 	return v
 }
 
-// moments propagates the segment's analytic moments through its program.
+// moments is dag.Program.MomentsInto over the segment's program without
+// the program: the same barrier decomposition, unrolled for the fixed
+// segment shape, with the same Moment arithmetic in the same order.
+// Every finish is base + rel, base the absolute moment of the barrier
+// the first-wave TRAINs start on and r0 a first-wave TRAIN's finish
+// relative to it:
+//
+//   - grow = 0: no SCALE; the TRAINs are sources (base zero).
+//   - grow = 1: the lone INIT extends the SCALE chain; its finish
+//     becomes base when it feeds several TRAINs (w >= 2), and extends
+//     the chain into r0 when it feeds one.
+//   - grow >= 2: the SCALE finish is a barrier the INITs share, and
+//     base adds the max over the INITs, joined as one iid group.
+//
+// The SYNC then joins the TRAINs: a lone TRAIN extends the chain; a
+// fan-out's TRAINs are one iid group; chained slots need the dominance
+// step (non-negative latencies), which leaves each slot's tail, grouped
+// by equal moment in tail order.
 //
 //rbvet:pure
-func (sg *segment) moments(sc *dag.MomentScratch) segMoment {
-	mk, ok := sg.prog.MomentsInto(sc)
+//rbvet:noalloc
+func (sg *segment) moments() segMoment {
+	lt, nonneg, ok := sg.train.Moment()
 	if !ok {
 		return segMoment{}
 	}
-	v := segMoment{dur: mk, ok: true}
-	if sg.scaleIdx >= 0 {
-		v.scaleFin = sc.Finish(sg.scaleIdx)
+	var v segMoment
+	var zero, base stats.Moment
+	r0 := lt
+	if sg.grow > 0 {
+		ls, ns, oks := sg.scale.Moment()
+		li, ni, oki := sg.init.Moment()
+		if !oks || !oki {
+			return segMoment{}
+		}
+		nonneg = nonneg && ns && ni
+		v.scaleFin = zero.AddIndep(ls)
+		switch {
+		case sg.grow >= 2:
+			base = zero.AddIndep(ls).AddIndep(joinMax(li, sg.grow, zero, 0))
+		case sg.w == 1:
+			r0 = ls.AddIndep(li).AddIndep(lt)
+		default:
+			base = zero.AddIndep(ls.AddIndep(li))
+		}
 	}
-	// Training GPU-time is the sum of the (independent) train-node
-	// latencies; moments add.
-	for i := sg.trainLo; i < sg.trainHi; i++ {
-		v.trainSec = v.trainSec.AddIndep(sc.Latency(i))
+	// Training GPU-time is the sum of the (independent) TRAIN latencies;
+	// moments add.
+	for tr := 0; tr < sg.trials; tr++ {
+		v.trainSec = v.trainSec.AddIndep(lt)
 	}
+	switch {
+	case sg.trials == 1:
+		v.dur = base.AddIndep(r0.AddIndep(zero))
+	case sg.w == sg.trials:
+		v.dur = base.AddIndep(joinMax(r0, sg.trials, zero, 0)).AddIndep(zero)
+	default:
+		if !nonneg {
+			return segMoment{}
+		}
+		// Slot s's chain holds q+1 TRAINs for s < rem and q otherwise;
+		// in trial order the tails run over slots rem..w-1, then 0..rem-1.
+		// tail is a q-long chain's tail relative to base; abs walks the
+		// chain's promoted barriers (abs_1 = base + r0, then + lt each).
+		q, rem := sg.trials/sg.w, sg.trials%sg.w
+		tail := base.SubIndepPrefix(base).AddIndep(r0)
+		abs := base.AddIndep(r0)
+		for l := 2; l <= q; l++ {
+			tail = abs.SubIndepPrefix(base).AddIndep(lt)
+			abs = abs.AddIndep(lt)
+		}
+		longTail := abs.SubIndepPrefix(base).AddIndep(lt)
+		v.dur = base.AddIndep(joinMax(tail, sg.w-rem, longTail, rem)).AddIndep(zero)
+	}
+	v.ok = true
 	return v
+}
+
+// joinMax is the moment of the max over a fork's items as the DAG
+// moment pass computes it, for items given in order as n1 copies of m1
+// followed by n2 copies of m2: items group by == in order of first
+// occurrence, each group through stats.MaxIIDMoment, the groups through
+// stats.MaxIndep. Like the pass, it skips items with a NaN mean and
+// gives items with a NaN variance (equal to nothing) a group each.
+//
+//rbvet:pure
+//rbvet:noalloc
+func joinMax(m1 stats.Moment, n1 int, m2 stats.Moment, n2 int) stats.Moment {
+	var j maxJoin
+	if m1 == m2 {
+		j.add(m1, n1+n2)
+	} else {
+		j.add(m1, n1)
+		j.add(m2, n2)
+	}
+	return j.res
+}
+
+// maxJoin folds groups of a fork's items into the moment of their max.
+type maxJoin struct {
+	res     stats.Moment
+	started bool
+}
+
+// add folds n copies of m.
+func (j *maxJoin) add(m stats.Moment, n int) {
+	if n == 0 || math.IsNaN(m.Mean) {
+		return
+	}
+	g, groups := stats.MaxIIDMoment(m, n), 1
+	if math.IsNaN(m.Var) {
+		g, groups = m, n
+	}
+	for ; groups > 0; groups-- {
+		if j.started {
+			j.res = stats.MaxIndep(j.res, g)
+		} else {
+			j.res, j.started = g, true
+		}
+	}
 }
 
 // birthGroup is one growth event on the analytic billing stack: count
@@ -79,7 +181,6 @@ type birthGroup struct {
 // one per worker (NewAnalyticEval) or let Simulator.Estimate pool them.
 type AnalyticEval struct {
 	sim    *Simulator
-	sc     dag.MomentScratch
 	groups []birthGroup
 	moms   []segMoment
 	// cp is the candidate being scored, resolved straight to its
@@ -140,7 +241,7 @@ func (s *Simulator) ReleaseAnalyticEval(e *AnalyticEval) {
 // Simulator.Estimate's plan validation.
 //
 // The evaluation is exact under deterministic latencies and
-// moment-matched otherwise (see dag.Program.MomentsInto); CostStd
+// moment-matched otherwise (see segment.moments); CostStd
 // additionally treats per-group instance charges as independent, which
 // the validation tests bound. It is deterministic — no RNG is consulted
 // — and a warm call (cached plan and segment moments) allocates nothing.
@@ -159,7 +260,7 @@ func (e *AnalyticEval) Estimate(p Plan) (Estimate, bool, error) {
 	moms := e.moms[:len(cp.segs)]
 	sc := analyticScore{}
 	for i, sg := range cp.segs {
-		moms[i] = e.sim.segmentMoments(sg, &e.sc)
+		moms[i] = e.sim.segmentMoments(sg)
 		if !moms[i].ok {
 			e.memoize(sc)
 			return Estimate{}, false, nil
@@ -237,7 +338,7 @@ func (e *AnalyticEval) price(cp *compiledPlan, moms []segMoment) (jct, cost stat
 		want := sg.instances
 		if want > alive {
 			sf := stats.Moment{}
-			if sg.scaleIdx >= 0 {
+			if sg.grow > 0 {
 				sf = moms[i].scaleFin
 			}
 			groups = append(groups, birthGroup{pre: pre, sf: sf, count: want - alive})

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/cloud"
-	"repro/internal/dag"
 	"repro/internal/model"
 	"repro/internal/spec"
 	"repro/internal/stats"
@@ -252,8 +251,7 @@ func TestAnalyticMomentCacheReusesAcrossPlans(t *testing.T) {
 	// A filled slot is served as is: a sentinel planted in it survives.
 	sentinel := segMoment{dur: stats.Moment{Mean: -1}, ok: true}
 	sg.mom = sentinel
-	var sc dag.MomentScratch
-	if got := sm.segmentMoments(sg, &sc); got != sentinel {
+	if got := sm.segmentMoments(sg); got != sentinel {
 		t.Fatalf("segment moments refilled after first use: %+v", got)
 	}
 }

@@ -32,29 +32,42 @@ type segKey struct {
 	stage, alloc, prev int
 }
 
-// segment is one stage's sub-DAG compiled into a flat program, plus the
-// node metadata the cost model needs to replay a sampled segment against
-// the billing rules. All cross-stage edges of the full execution DAG pass
-// through the single SYNC barrier closing each stage, so a segment
-// evaluates zero-based (the barrier is the implicit time-zero source) and
-// plan-level quantities recombine from per-segment samples.
+// segment is one stage's execution in closed form. Every stage of the
+// execution DAG (§4.2, Figure 7) has the same fork-join shape — a SCALE
+// request, grow identical INIT_INSTANCEs behind it, trials identical
+// TRAINs (chained behind w single-GPU slots when the stage has fewer GPUs
+// than trials), and a closing SYNC barrier — so a segment is just the
+// three encoded latencies and the three counts that fix the shape. All
+// cross-stage edges of the full DAG pass through the SYNC barriers, so
+// a segment evaluates zero-based (the previous SYNC is the implicit
+// time-zero source) and plan-level quantities recombine from
+// per-segment samples.
 //
-// A segment is the one entry the simulator caches per segKey: its program
-// and shape are immutable after buildSegment, and its two estimate slots
-// (the Monte-Carlo sample vector and the analytic moments) fill lazily on
+// sample and moments are closed forms of dag.Program.SampleInto and
+// dag.Program.MomentsInto over dag.CompileRange of the segment's stage
+// range of BuildDAG's graph, bit for bit; the segment-table tests hold
+// them to it.
+//
+// A segment is the one entry the simulator caches per segKey: its shape
+// is immutable after buildSegment, and its two estimate slots (the
+// Monte-Carlo sample vector and the analytic moments) fill lazily on
 // first use under Simulator.mu and are evicted together with the entry.
 type segment struct {
-	key  segKey
-	prog *dag.Program
+	key segKey
+	// scale, init and train are the SCALE, INIT_INSTANCE and TRAIN
+	// latencies (scale and init are unused when grow is zero).
+	scale, init, train dag.Latency
+	// grow is the number of instances the SCALE request adds (zero when
+	// the cluster does not grow into the stage: no SCALE, no INITs).
+	grow int
+	// trials is the stage's TRAIN count and w its first-wave width:
+	// trials, or alloc single-GPU slots when alloc < trials, with trial
+	// tr >= w chained behind trial tr-w.
+	trials, w int
 	// instances is the cluster size (machines) during the stage.
 	instances int
-	// scaleIdx is the program-local index of the SCALE node, -1 when the
-	// cluster does not grow into this stage.
-	scaleIdx int
-	// trainLo/trainHi bound the contiguous program-local TRAIN node range;
-	// trainGPUs is the per-trial GPU count shared by every node in it.
-	trainLo, trainHi int
-	trainGPUs        int
+	// trainGPUs is the per-trial GPU count of every TRAIN.
+	trainGPUs int
 
 	// samples is the s.samples-long sample vector, nil until filled.
 	samples []segSample
@@ -74,20 +87,68 @@ type segSample struct {
 	dur, scaleFin, trainSec float64
 }
 
-// eval draws one execution of the segment, reusing buf as scratch, and
-// condenses it to its segSample.
+// sample draws one execution of the segment and condenses it to its
+// segSample, reusing slots as the chained slots' scratch and returning
+// it. It is SampleInto over the segment's program without the program:
+// the same latency draws in node order (SCALE, INITs, TRAINs; the SYNC
+// draws nothing), each node starting at the largest dependency finish
+// above zero, the span the largest finish above zero, and trainSec the
+// TRAINs' finish − start summed in trial order.
 //
 //rbvet:pure
-func (sg *segment) eval(r *stats.RNG, buf []dag.Timing) (segSample, []dag.Timing) {
-	timings, dur := sg.prog.SampleInto(r, buf)
-	out := segSample{dur: dur}
-	if sg.scaleIdx >= 0 {
-		out.scaleFin = timings[sg.scaleIdx].Finish
+//rbvet:noalloc
+func (sg *segment) sample(r *stats.RNG, slots []float64) (segSample, []float64) {
+	var out segSample
+	mk := 0.0   // span: the largest finish so far
+	base := 0.0 // first-wave TRAIN start: the largest INIT finish
+	if sg.grow > 0 {
+		start := 0.0
+		sf := start + sg.scale.Sample(r)
+		if sf > start {
+			start = sf
+		}
+		for k := 0; k < sg.grow; k++ {
+			if f := start + sg.init.Sample(r); f > base {
+				base = f
+			}
+		}
+		out.scaleFin = sf
+		mk = base
+		if sf > mk {
+			mk = sf
+		}
 	}
-	for _, t := range timings[sg.trainLo:sg.trainHi] {
-		out.trainSec += t.Finish - t.Start
+	chained := sg.w < sg.trials
+	if chained {
+		if cap(slots) < sg.w {
+			//rbvet:ignore noalloc — cold path: runs once per slot count; steady-state calls reuse slots
+			slots = make([]float64, sg.w)
+		}
+		slots = slots[:sg.w]
 	}
-	return out, timings
+	slot := 0
+	for tr := 0; tr < sg.trials; tr++ {
+		start := base
+		if tr >= sg.w {
+			start = 0.0
+			if f := slots[slot]; f > start {
+				start = f
+			}
+		}
+		f := start + sg.train.Sample(r)
+		out.trainSec += f - start
+		if f > mk {
+			mk = f
+		}
+		if chained {
+			slots[slot] = f
+			if slot++; slot == sg.w {
+				slot = 0
+			}
+		}
+	}
+	out.dur = mk
+	return out, slots
 }
 
 // compiledPlan is a plan resolved to its per-stage segments plus the
@@ -145,7 +206,7 @@ func (s *Simulator) resolve(p Plan, cp *compiledPlan) error {
 // ever used (by the DAG builder, the placement sizing, and the billing),
 // so every allocation in [k·trials, (k+1)·trials) executes identically
 // to k·trials. Keying segments by the representative makes equivalent
-// allocations share compiled programs, sample vectors, and — because
+// allocations share segments, sample vectors, and — because
 // segStream hashes the key — the exact same common random numbers, which
 // is what lets the planner deduplicate symmetric frontier candidates
 // without changing any estimate.
@@ -160,7 +221,7 @@ func canonAlloc(alloc, trials int) int {
 // representative under this simulator's spec: each stage allocation
 // mapped through canonAlloc. Two plans with equal canonical keys produce
 // bit-identical estimates in the segment and analytic modes, which derive
-// programs, sample vectors and RNG streams from the canonical segment
+// segments, sample vectors and RNG streams from the canonical segment
 // tuples; the full-DAG mode keys its streams by the raw plan and is
 // excluded from the guarantee. The planner's frontier deduplication memos
 // on this key. Stages beyond the spec pass through unmapped (such plans
@@ -177,7 +238,7 @@ func (s *Simulator) CanonicalPlanKey(p Plan) string {
 	return string(b)
 }
 
-// segmentFor returns the compiled segment for key, building it on a cache
+// segmentFor returns the segment for key, building it on a cache
 // miss.
 func (s *Simulator) segmentFor(key segKey) *segment {
 	s.mu.Lock()
@@ -193,69 +254,30 @@ func (s *Simulator) segmentFor(key segKey) *segment {
 	return sg
 }
 
-// buildSegment emits one stage's zero-based sub-DAG straight into a flat
-// program — SCALE, then one INIT_INSTANCE per new instance, then one
-// TRAIN per trial, then the closing SYNC — with the previous stage's SYNC
-// barrier as the implicit time-zero source. The program is node for node
-// and edge for edge the one CompileRange yields over the stage's range of
-// BuildDAG's graph.
+// buildSegment derives one stage's closed-form segment from its tuple:
+// the cluster size placement packs the stage into, the growth over the
+// previous stage's instances, the first-wave width, and the encoded
+// latencies.
 //
 //rbvet:pure
 func (s *Simulator) buildSegment(key segKey) *segment {
 	st := s.spec.Stage(key.stage)
 	gpn := s.cloud.Instance.GPUs
-	chained := key.alloc < st.Trials // single-GPU slots, queued trials chained behind them
-	var need, per int
-	if chained {
-		need, per = placement.NodesNeeded(key.alloc, 1, gpn), 1
+	sg := &segment{key: key, trials: st.Trials, w: st.Trials}
+	if key.alloc < st.Trials {
+		// Single-GPU slots, queued trials chained behind them.
+		sg.w, sg.trainGPUs = key.alloc, 1
+		sg.instances = placement.NodesNeeded(key.alloc, 1, gpn)
 	} else {
-		per = key.alloc / st.Trials
-		need = placement.NodesNeeded(st.Trials, per, gpn)
+		sg.trainGPUs = key.alloc / st.Trials
+		sg.instances = placement.NodesNeeded(st.Trials, sg.trainGPUs, gpn)
 	}
-	grow := 0
-	if need > key.prev {
-		grow = need - key.prev
+	if sg.instances > key.prev {
+		sg.grow = sg.instances - key.prev
+		sg.scale = dag.NewLatency(s.cloud.Overheads.QueueDelay)
+		sg.init = dag.NewLatency(s.cloud.Overheads.InitLatency)
 	}
-
-	// Exact sizes: scale + inits, one train per trial, one sync. Each
-	// init depends on the scale; each train on every init, or — queued
-	// behind a slot — on the slot's previous train; the sync on every
-	// train.
-	nodes, trainEdges := st.Trials+1, st.Trials*grow
-	if grow > 0 {
-		nodes += 1 + grow
-	}
-	if chained {
-		trainEdges = key.alloc*grow + st.Trials - key.alloc
-	}
-	b := dag.NewBuilder(nodes, grow+trainEdges+st.Trials)
-	sg := &segment{key: key, instances: need, scaleIdx: -1, trainGPUs: per}
-	if grow > 0 {
-		sg.scaleIdx = b.Add(s.cloud.Overheads.QueueDelay)
-		for k := 0; k < grow; k++ {
-			b.Dep(sg.scaleIdx)
-			b.Add(s.cloud.Overheads.InitLatency)
-		}
-	}
-
-	sg.trainLo = b.Len()
-	trainDist := sumIters(s.profile.IterDist(per), st.Iters)
-	for tr := 0; tr < st.Trials; tr++ {
-		if chained && tr >= key.alloc {
-			b.Dep(sg.trainLo + tr - key.alloc)
-		} else {
-			for k := sg.scaleIdx + 1; k < sg.trainLo; k++ {
-				b.Dep(k)
-			}
-		}
-		b.Add(trainDist)
-	}
-	sg.trainHi = b.Len()
-	for tr := sg.trainLo; tr < sg.trainHi; tr++ {
-		b.Dep(tr)
-	}
-	b.Add(nil)
-	sg.prog = b.Program()
+	sg.train = dag.NewLatency(sumIters(s.profile.IterDist(sg.trainGPUs), st.Iters))
 	return sg
 }
 
@@ -282,11 +304,11 @@ func (s *Simulator) segmentSamples(sg *segment) []segSample {
 	}
 	v = make([]segSample, s.samples)
 	base := s.segStream(sg.key)
-	scratch := make([][]dag.Timing, s.workerSlots())
+	scratch := make([][]float64, s.workerSlots())
 	rngs := make([]stats.RNG, len(scratch))
 	par.ForEachWorker(s.samples, s.Workers(), func(w, k int) {
 		base.StreamInto(uint64(k), &rngs[w])
-		v[k], scratch[w] = sg.eval(&rngs[w], scratch[w])
+		v[k], scratch[w] = sg.sample(&rngs[w], scratch[w])
 	})
 	s.mu.Lock()
 	sg.samples = v
@@ -307,8 +329,8 @@ func (s *Simulator) workerSlots() int {
 // EstimatorSegment composes cached tuple-keyed vectors; EstimatorFull
 // draws every stage fresh from the plan's own stream family, with sample
 // k's single stream threaded through the stages in order (the draw order
-// of sampling the full DAG). Both modes evaluate the same compiled
-// programs, so they differ only in which RNG stream feeds each segment.
+// of sampling the full DAG). Both modes evaluate the same segments, so
+// they differ only in which RNG stream feeds each segment.
 func (s *Simulator) sampleVectors(cp *compiledPlan, p Plan) [][]segSample {
 	vecs := make([][]segSample, len(cp.segs))
 	if s.estimator != EstimatorFull {
@@ -321,13 +343,13 @@ func (s *Simulator) sampleVectors(cp *compiledPlan, p Plan) [][]segSample {
 		vecs[i] = make([]segSample, s.samples)
 	}
 	base := s.planStream(p)
-	scratch := make([][]dag.Timing, s.workerSlots())
+	scratch := make([][]float64, s.workerSlots())
 	rngs := make([]stats.RNG, len(scratch))
 	par.ForEachWorker(s.samples, s.Workers(), func(w, k int) {
 		r := &rngs[w]
 		base.StreamInto(uint64(k), r)
 		for i, sg := range cp.segs {
-			vecs[i][k], scratch[w] = sg.eval(r, scratch[w])
+			vecs[i][k], scratch[w] = sg.sample(r, scratch[w])
 		}
 	})
 	return vecs
@@ -364,7 +386,7 @@ func (s *Simulator) priceSchedule(cp *compiledPlan, vecs [][]segSample, k int, b
 		want := sg.instances
 		if want > len(alive) {
 			birth := stageStart
-			if sg.scaleIdx >= 0 {
+			if sg.grow > 0 {
 				birth = stageStart + row.scaleFin // after queueing
 			}
 			for len(alive) < want {

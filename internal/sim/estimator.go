@@ -3,8 +3,8 @@ package sim
 import "fmt"
 
 // EstimatorMode selects how Estimate and Breakdown source Monte-Carlo
-// draws for a plan's stage segments. Both modes evaluate the same compiled
-// segment programs with the same arithmetic — they differ only in RNG
+// draws for a plan's stage segments. Both modes evaluate the same
+// segments with the same arithmetic — they differ only in RNG
 // stream discipline — so under fully deterministic latency profiles they
 // return exactly equal estimates, and under stochastic profiles they agree
 // to Monte-Carlo tolerance.
@@ -26,8 +26,9 @@ const (
 	// cross-plan draw sharing and no cache dependence.
 	EstimatorFull
 	// EstimatorAnalytic draws no samples at all: it propagates
-	// (mean, variance) moments through the compiled segment programs
-	// (dag.Program.MomentsInto) and recombines them against an analytic
+	// (mean, variance) moments through the stage segments in closed form
+	// (the DAG moment pass, dag.Program.MomentsInto, unrolled for the
+	// segment shape) and recombines them against an analytic
 	// billing model, yielding an estimate in microseconds. It agrees with
 	// the sampling modes exactly under deterministic latencies and to
 	// statistical tolerance otherwise. Plans whose latencies lack finite

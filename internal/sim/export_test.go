@@ -2,9 +2,10 @@ package sim
 
 import (
 	"fmt"
-	"reflect"
+	"math"
 
 	"repro/internal/dag"
+	"repro/internal/stats"
 )
 
 // CheckSegmentTable checks every entry of s's segment table against the
@@ -15,10 +16,10 @@ import (
 // whose instance counts carry the entry's prev — and requires that
 //
 //   - the witness resolves to this very tuple at the entry's stage;
-//   - the entry's program equals, column for column, dag.CompileRange
-//     over that stage's node range of BuildDAG(witness);
-//   - scaleIdx, trainLo, trainHi, instances and trainGPUs match the
-//     graph's stage metadata.
+//   - the entry's instances and trainGPUs match the graph's stage
+//     metadata;
+//   - the entry behaves bit for bit as dag.CompileRange over that
+//     stage's node range of BuildDAG(witness) (see checkClosedForm).
 //
 // Since a stage segment is a function of its tuple alone, this covers
 // every stage of every plan the simulator scored.
@@ -88,30 +89,98 @@ func (s *Simulator) checkSegment(sg *segment, plan Plan) error {
 	}
 	lo := 0
 	if k > 0 {
-		lo = b.syncID[k-1] + 1
+		lo = b.stages[k-1].syncID + 1
 	}
-	want := dag.CompileRange(b.graph, lo, b.syncID[k]+1)
-	if !reflect.DeepEqual(*sg.prog, *want) {
-		return fmt.Errorf("program differs from CompileRange:\n got %+v\nwant %+v", *sg.prog, *want)
+	st := b.stages[k]
+	prog := dag.CompileRange(b.graph, lo, st.syncID+1)
+	return checkClosedForm(sg, prog, st, lo, GPUsPerTrial(plan.Alloc[k], s.spec.Stage(k).Trials))
+}
+
+// checkKey builds the segment for key and checks it against the stage
+// addStage emits for the same tuple into a graph of its own: with no
+// frontier, the stage's first nodes are sources, exactly as
+// CompileRange leaves them when it drops the edges from the previous
+// stage's SYNC.
+func (s *Simulator) checkKey(key segKey) error {
+	g := dag.New()
+	st := s.addStage(g, key.stage, key.alloc, key.prev, nil, 0)
+	return checkClosedForm(s.buildSegment(key), dag.Compile(g), st, 0, GPUsPerTrial(key.alloc, s.spec.Stage(key.stage).Trials))
+}
+
+// closedFormStreams is the number of RNG streams checkClosedForm draws
+// a segment on.
+const closedFormStreams = 8
+
+// checkClosedForm requires that sg behaves bit for bit as prog, the
+// compiled stage whose nodes st lists at offset lo in its graph:
+//
+//   - instances and trainGPUs equal the stage's cluster size and gpus;
+//   - on each of closedFormStreams RNG streams, sample returns the
+//     segSample condensed from prog.SampleInto (span, SCALE finish,
+//     TRAIN finish − start summed in trial order) and leaves the
+//     generator in the same state;
+//   - moments returns the segMoment condensed from prog.MomentsInto,
+//     ok included.
+func checkClosedForm(sg *segment, prog *dag.Program, st stageNodes, lo, gpus int) error {
+	if sg.instances != st.instances || sg.trainGPUs != gpus {
+		return fmt.Errorf("metadata (instances %d, gpus %d), want (%d, %d)", sg.instances, sg.trainGPUs, st.instances, gpus)
 	}
 	scaleIdx := -1
-	if b.scaleID[k] >= 0 {
-		scaleIdx = b.scaleID[k] - lo
+	if st.scaleID >= 0 {
+		scaleIdx = st.scaleID - lo
 	}
-	trains := b.trainIDs[k]
-	trainLo, trainHi := trains[0]-lo, trains[len(trains)-1]+1-lo
-	if len(trains) != trainHi-trainLo {
-		return fmt.Errorf("graph TRAIN nodes %v are not contiguous", trains)
+	trainLo, trainHi := st.trainIDs[0]-lo, st.trainIDs[len(st.trainIDs)-1]+1-lo
+	if len(st.trainIDs) != trainHi-trainLo {
+		return fmt.Errorf("graph TRAIN nodes %v are not contiguous", st.trainIDs)
 	}
-	trainGPUs := GPUsPerTrial(plan.Alloc[k], s.spec.Stage(k).Trials)
-	if sg.scaleIdx != scaleIdx || sg.trainLo != trainLo || sg.trainHi != trainHi ||
-		sg.instances != b.instances[k] || sg.trainGPUs != trainGPUs {
-		return fmt.Errorf("metadata (scale %d, train [%d, %d), instances %d, gpus %d), want (%d, [%d, %d), %d, %d)",
-			sg.scaleIdx, sg.trainLo, sg.trainHi, sg.instances, sg.trainGPUs,
-			scaleIdx, trainLo, trainHi, b.instances[k], trainGPUs)
+
+	root := stats.NewRNG(stats.Hash64(uint64(sg.key.stage), uint64(sg.key.alloc), uint64(sg.key.prev)))
+	var slots []float64
+	var buf []dag.Timing
+	for k := 0; k < closedFormStreams; k++ {
+		r := root.Stream(uint64(k))
+		ref := *r
+		var got segSample
+		got, slots = sg.sample(r, slots)
+		var want segSample
+		buf, want.dur = prog.SampleInto(&ref, buf)
+		if scaleIdx >= 0 {
+			want.scaleFin = buf[scaleIdx].Finish
+		}
+		for _, t := range buf[trainLo:trainHi] {
+			want.trainSec += t.Finish - t.Start
+		}
+		if !sameBits(got.dur, want.dur) || !sameBits(got.scaleFin, want.scaleFin) || !sameBits(got.trainSec, want.trainSec) {
+			return fmt.Errorf("stream %d: sample %+v, program %+v", k, got, want)
+		}
+		if r.State() != ref.State() {
+			return fmt.Errorf("stream %d: generator state %x after sample, %x after the program", k, r.State(), ref.State())
+		}
+	}
+
+	var want segMoment
+	var sc dag.MomentScratch
+	if mk, ok := prog.MomentsInto(&sc); ok {
+		want = segMoment{dur: mk, ok: true}
+		if scaleIdx >= 0 {
+			want.scaleFin = sc.Finish(scaleIdx)
+		}
+		for i := trainLo; i < trainHi; i++ {
+			want.trainSec = want.trainSec.AddIndep(sc.Latency(i))
+		}
+	}
+	got := sg.moments()
+	if got.ok != want.ok || !sameMoment(got.dur, want.dur) || !sameMoment(got.scaleFin, want.scaleFin) || !sameMoment(got.trainSec, want.trainSec) {
+		return fmt.Errorf("moments %+v, program %+v", got, want)
 	}
 	return nil
 }
+
+// sameBits reports whether two floats have the same bit pattern.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// sameMoment reports whether two moments have the same bit patterns.
+func sameMoment(a, b stats.Moment) bool { return sameBits(a.Mean, b.Mean) && sameBits(a.Var, b.Var) }
 
 // BuildSegment builds the stage segment for the tuple (stage, alloc,
 // prev) without touching the segment table.

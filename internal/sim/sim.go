@@ -27,8 +27,8 @@ type Estimate struct {
 // A Simulator's configuration is immutable after construction and it is
 // safe for concurrent use by multiple goroutines. Its only mutable state
 // is two mutex-guarded bounded LRU caches memoizing pure computations —
-// compiled plans, and the segment table of compiled stage-segment
-// programs with their lazily filled sample vectors and moments — so
+// compiled plans, and the segment table of closed-form stage segments
+// with their lazily filled sample vectors and moments — so
 // Estimate and Breakdown remain pure functions of the simulator's
 // configuration and the plan: every Monte-Carlo draw derives a private RNG stream from the
 // construction-time seed state, keyed by (stream family, sample index),
@@ -55,7 +55,7 @@ type Simulator struct {
 	mu    sync.Mutex
 	plans *lru[string, *compiledPlan]
 	// segs is the segment table: one entry per segKey holding the
-	// compiled program and, once used, its sample vector and moments.
+	// segment and, once used, its sample vector and moments.
 	segs *lru[segKey, *segment]
 
 	// anaPool recycles AnalyticEval scratch for Estimate's analytic mode;
@@ -145,19 +145,11 @@ func (s *Simulator) Spec() *spec.ExperimentSpec { return s.spec }
 // Cloud returns the simulator's cloud profile.
 func (s *Simulator) Cloud() CloudProfile { return s.cloud }
 
-// buildResult carries the DAG along with the stage metadata the cost model
-// needs to replay a sampled schedule against the billing rules.
+// buildResult carries the DAG along with each stage's nodes and cluster
+// size.
 type buildResult struct {
-	graph *dag.Graph
-	// syncID[i] is the node ID of stage i's SYNC barrier.
-	syncID []int
-	// scaleID[i] is the node ID of the SCALE request issued before stage
-	// i, or -1 if the stage needed no scale-up.
-	scaleID []int
-	// instances[i] is the cluster size (instance count) during stage i.
-	instances []int
-	// trainIDs[i] lists stage i's TRAIN node IDs.
-	trainIDs [][]int
+	graph  *dag.Graph
+	stages []stageNodes
 }
 
 // BuildDAG synthesizes the execution DAG for a plan (§4.2, Figure 7):
@@ -181,81 +173,91 @@ func (s *Simulator) build(p Plan) (*buildResult, error) {
 	}
 	g := dag.New()
 	b := &buildResult{graph: g}
-	gpn := s.cloud.Instance.GPUs
-
 	curInstances := 0
 	frontier := []int(nil) // node IDs the next stage depends on
 	trial0 := 0            // global index of the stage's first trial
 	for i := 0; i < s.spec.NumStages(); i++ {
-		st := s.spec.Stage(i)
-		alloc := p.Alloc[i]
-		// Size the cluster the way the placement controller will pack it
-		// (co-located trials), so predicted instance counts — and
-		// therefore per-instance cost — match execution.
-		var need int
-		if alloc >= st.Trials {
-			need = placement.NodesNeeded(st.Trials, alloc/st.Trials, gpn)
-		} else {
-			need = placement.NodesNeeded(alloc, 1, gpn)
-		}
-
-		scaleID := -1
-		stageDeps := frontier
-		if need > curInstances {
-			scale := g.AddNode(dag.Scale, i, -1, 0, s.cloud.Overheads.QueueDelay, frontier...)
-			scaleID = scale.ID
-			inits := make([]int, 0, need-curInstances)
-			for k := curInstances; k < need; k++ {
-				init := g.AddNode(dag.InitInstance, i, -1, 0, s.cloud.Overheads.InitLatency, scale.ID)
-				inits = append(inits, init.ID)
-			}
-			// Training can begin only when both the previous stage is
-			// complete and the new instances are ready.
-			stageDeps = append(append([]int(nil), frontier...), inits...)
-		}
-		curInstances = need
-		b.scaleID = append(b.scaleID, scaleID)
-		b.instances = append(b.instances, need)
-
-		var trains []int
-		if alloc >= st.Trials {
-			per := alloc / st.Trials
-			trainDist := sumIters(s.profile.IterDist(per), st.Iters)
-			for tr := 0; tr < st.Trials; tr++ {
-				n := g.AddNode(dag.Train, i, trial0+tr, per, trainDist, stageDeps...)
-				trains = append(trains, n.ID)
-			}
-		} else {
-			// Fewer GPUs than trials: single-GPU slots with queued
-			// trials chained serially behind them.
-			trainDist := sumIters(s.profile.IterDist(1), st.Iters)
-			slotTail := make([]int, alloc) // last node ID per slot
-			for k := range slotTail {
-				slotTail[k] = -1
-			}
-			for tr := 0; tr < st.Trials; tr++ {
-				slot := tr % alloc
-				deps := stageDeps
-				if slotTail[slot] >= 0 {
-					deps = []int{slotTail[slot]}
-				}
-				n := g.AddNode(dag.Train, i, trial0+tr, 1, trainDist, deps...)
-				slotTail[slot] = n.ID
-				trains = append(trains, n.ID)
-			}
-		}
-		b.trainIDs = append(b.trainIDs, trains)
-
-		sync := g.AddNode(dag.Sync, i, -1, 0, stats.Deterministic{Value: 0}, trains...)
-		b.syncID = append(b.syncID, sync.ID)
-		frontier = []int{sync.ID}
-		trial0 += st.Trials
+		st := s.addStage(g, i, p.Alloc[i], curInstances, frontier, trial0)
+		b.stages = append(b.stages, st)
+		curInstances = st.instances
+		frontier = []int{st.syncID}
+		trial0 += len(st.trainIDs)
 	}
 	return b, nil
 }
 
+// stageNodes is one stage's node IDs in an execution DAG plus the
+// stage's cluster size.
+type stageNodes struct {
+	scaleID, syncID int // scaleID is -1 when the cluster does not grow
+	trainIDs        []int
+	instances       int
+}
+
+// addStage appends stage i's nodes under allocation alloc to g: the
+// stage starts after the frontier nodes with cur instances up, and its
+// first trial has global index trial0.
+func (s *Simulator) addStage(g *dag.Graph, i, alloc, cur int, frontier []int, trial0 int) stageNodes {
+	st := s.spec.Stage(i)
+	gpn := s.cloud.Instance.GPUs
+	// Size the cluster the way the placement controller will pack it
+	// (co-located trials), so predicted instance counts — and therefore
+	// per-instance cost — match execution.
+	var need int
+	if alloc >= st.Trials {
+		need = placement.NodesNeeded(st.Trials, alloc/st.Trials, gpn)
+	} else {
+		need = placement.NodesNeeded(alloc, 1, gpn)
+	}
+
+	out := stageNodes{scaleID: -1, instances: need}
+	stageDeps := frontier
+	if need > cur {
+		scale := g.AddNode(dag.Scale, i, -1, 0, s.cloud.Overheads.QueueDelay, frontier...)
+		out.scaleID = scale.ID
+		inits := make([]int, 0, need-cur)
+		for k := cur; k < need; k++ {
+			init := g.AddNode(dag.InitInstance, i, -1, 0, s.cloud.Overheads.InitLatency, scale.ID)
+			inits = append(inits, init.ID)
+		}
+		// Training can begin only when both the previous stage is
+		// complete and the new instances are ready.
+		stageDeps = append(append([]int(nil), frontier...), inits...)
+	}
+
+	if alloc >= st.Trials {
+		per := alloc / st.Trials
+		trainDist := sumIters(s.profile.IterDist(per), st.Iters)
+		for tr := 0; tr < st.Trials; tr++ {
+			n := g.AddNode(dag.Train, i, trial0+tr, per, trainDist, stageDeps...)
+			out.trainIDs = append(out.trainIDs, n.ID)
+		}
+	} else {
+		// Fewer GPUs than trials: single-GPU slots with queued
+		// trials chained serially behind them.
+		trainDist := sumIters(s.profile.IterDist(1), st.Iters)
+		slotTail := make([]int, alloc) // last node ID per slot
+		for k := range slotTail {
+			slotTail[k] = -1
+		}
+		for tr := 0; tr < st.Trials; tr++ {
+			slot := tr % alloc
+			deps := stageDeps
+			if slotTail[slot] >= 0 {
+				deps = []int{slotTail[slot]}
+			}
+			n := g.AddNode(dag.Train, i, trial0+tr, 1, trainDist, deps...)
+			slotTail[slot] = n.ID
+			out.trainIDs = append(out.trainIDs, n.ID)
+		}
+	}
+
+	out.syncID = g.AddNode(dag.Sync, i, -1, 0, stats.Deterministic{Value: 0}, out.trainIDs...).ID
+	return out
+}
+
 // Estimate predicts JCT and cost for the plan by drawing s.samples
-// Monte-Carlo samples of each stage segment's compiled program and
+// Monte-Carlo samples of each stage segment and
 // replaying every sample against the billing model. Segment draws fan
 // out across the simulator's worker pool (WithWorkers) into
 // index-addressed slots and the recombination reduces in fixed index
@@ -288,8 +290,10 @@ func (s *Simulator) Estimate(p Plan) (Estimate, error) {
 	for k := 0; k < s.samples; k++ {
 		jcts[k], costs[k], births = s.priceSchedule(cp, vecs, k, births)
 	}
-	js, cs := stats.Summarize(jcts), stats.Summarize(costs)
-	return Estimate{JCT: js.Mean, JCTStd: js.Std, Cost: cs.Mean, CostStd: cs.Std}, nil
+	var est Estimate
+	est.JCT, est.JCTStd = stats.SortMeanStd(jcts)
+	est.Cost, est.CostStd = stats.SortMeanStd(costs)
+	return est, nil
 }
 
 // instanceCharge bills one instance held from birth to death.

@@ -27,21 +27,7 @@ func Summarize(xs []float64) Summary {
 		return Summary{}
 	}
 	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	var sum float64
-	for _, x := range sorted {
-		sum += x
-	}
-	mean := sum / float64(len(sorted))
-	var ss float64
-	for _, x := range sorted {
-		d := x - mean
-		ss += d * d
-	}
-	std := 0.0
-	if len(sorted) > 1 {
-		std = math.Sqrt(ss / float64(len(sorted)-1))
-	}
+	mean, std := SortMeanStd(sorted)
 	return Summary{
 		N:      len(sorted),
 		Mean:   mean,
@@ -53,6 +39,31 @@ func Summarize(xs []float64) Summary {
 		P99:    Percentile(sorted, 0.99),
 		StdErr: std / math.Sqrt(float64(len(sorted))),
 	}
+}
+
+// SortMeanStd sorts xs in place and returns its mean and sample standard
+// deviation (n-1 denominator), summed in ascending order: Summarize's
+// Mean and Std, bit for bit, without its copy and order statistics. It
+// returns zeros when xs is empty.
+func SortMeanStd(xs []float64) (mean, std float64) {
+	if len(xs) == 0 {
+		return 0, 0
+	}
+	sort.Float64s(xs)
+	var sum float64
+	for _, x := range xs {
+		sum += x
+	}
+	mean = sum / float64(len(xs))
+	var ss float64
+	for _, x := range xs {
+		d := x - mean
+		ss += d * d
+	}
+	if len(xs) > 1 {
+		std = math.Sqrt(ss / float64(len(xs)-1))
+	}
+	return mean, std
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 1) of an ascending-
