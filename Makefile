@@ -100,8 +100,9 @@ bench:
 # replanning decision at samples {20,100} under all three estimator
 # modes, workers=1, plus the analytic fast-path rows (plan_frontier,
 # replan_prescreen). Rewrites BENCH_plan.json and fails if any warm
-# plan_elastic row regressed more than 25% against the committed
-# baseline; the human-readable record lives in
+# plan_elastic row slowed down more than 25%, or any row's allocs/op grew
+# more than 10%, against the committed baseline; the human-readable
+# record lives in
 # results/analytic_bench.md and results/estimator_bench.md.
 bench-plan:
 	go run ./cmd/rbbench -baseline BENCH_plan.json -out BENCH_plan.json

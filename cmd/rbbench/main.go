@@ -15,8 +15,10 @@
 // replan_prescreen (one read-only analytic drift screen).
 //
 // With -baseline, rbbench additionally loads a previous result file and
-// exits nonzero if any warm plan_elastic row regressed by more than
-// -regression (default 25%) — the `make bench-plan` gate.
+// exits nonzero if any warm plan_elastic row slowed down by more than
+// -regression (default 25%), or any row's allocs/op grew by more than
+// 10% — the `make bench-plan` gate. Allocation counts do not depend on
+// the machine, so their gate is tight and covers every row.
 //
 // Usage:
 //
@@ -146,10 +148,15 @@ func loadBaseline(path string) ([]Result, error) {
 	return rs, nil
 }
 
-// checkRegression compares warm plan_elastic rows against the baseline
-// and reports every row whose ns/op grew by more than limit (a fraction:
-// 0.25 means +25%). Rows absent from the baseline — newly added modes —
-// are skipped.
+// allocRegression is the relative allocs/op growth vs the baseline that
+// fails any row.
+const allocRegression = 0.10
+
+// checkRegression compares the current rows against the baseline and
+// reports every warm plan_elastic row whose ns/op grew by more than limit
+// (a fraction: 0.25 means +25%) and every row whose allocs/op grew by
+// more than allocRegression. Rows absent from the baseline — newly added
+// modes — are skipped.
 func checkRegression(baseline, current []Result, limit float64) []string {
 	type key struct {
 		name, est string
@@ -161,16 +168,17 @@ func checkRegression(baseline, current []Result, limit float64) []string {
 	}
 	var bad []string
 	for _, r := range current {
-		if r.Name != "plan_elastic" {
-			continue
-		}
 		b, ok := base[key{r.Name, r.Estimator, r.Samples}]
-		if !ok || b.NsPerOp <= 0 {
+		if !ok {
 			continue
 		}
-		if r.NsPerOp > (1+limit)*b.NsPerOp {
+		if r.Name == "plan_elastic" && b.NsPerOp > 0 && r.NsPerOp > (1+limit)*b.NsPerOp {
 			bad = append(bad, fmt.Sprintf("%s samples=%d estimator=%s: %.0f ns/op vs baseline %.0f (+%.0f%%, limit +%.0f%%)",
 				r.Name, r.Samples, r.Estimator, r.NsPerOp, b.NsPerOp, 100*(r.NsPerOp/b.NsPerOp-1), 100*limit))
+		}
+		if float64(r.AllocsPerOp) > (1+allocRegression)*float64(b.AllocsPerOp) {
+			bad = append(bad, fmt.Sprintf("%s samples=%d estimator=%s: %d allocs/op vs baseline %d (limit +%.0f%%)",
+				r.Name, r.Samples, r.Estimator, r.AllocsPerOp, b.AllocsPerOp, 100*allocRegression))
 		}
 	}
 	return bad
@@ -313,10 +321,11 @@ func run(benchtime time.Duration, out, baseline string, regression float64) erro
 		for _, line := range bad {
 			fmt.Fprintln(os.Stderr, "rbbench: REGRESSION:", line)
 		}
-		return fmt.Errorf("%d warm planning regression(s) beyond the %.0f%% limit", len(bad), 100*regression)
+		return fmt.Errorf("%d planning regression(s) beyond the limits", len(bad))
 	}
 	if baseline != "" && len(base) > 0 {
-		fmt.Fprintf(os.Stderr, "rbbench: no warm planning regression beyond %.0f%% vs %s\n", 100*regression, baseline)
+		fmt.Fprintf(os.Stderr, "rbbench: no warm planning slowdown beyond %.0f%% and no allocation growth beyond %.0f%% vs %s\n",
+			100*regression, 100*allocRegression, baseline)
 	}
 	return nil
 }

@@ -42,7 +42,7 @@ import (
 // Purity verifies //rbvet:pure claims and the memoization registry.
 var Purity = &Analyzer{
 	Name:   "purity",
-	Doc:    "prove //rbvet:pure and LRU-memoized functions pure modulo arguments (effect inference over the call graph)",
+	Doc:    "prove //rbvet:pure and memoized functions pure modulo arguments (effect inference over the call graph)",
 	RunAll: runPurity,
 }
 
@@ -75,16 +75,16 @@ var effectNames = []struct {
 	{effExternal, "calls an external function with unknown effects"},
 }
 
-// memoizedRoots are the functions the sim/planner LRU caches memoize
-// (PR 4): their results are stored and replayed, so they MUST be pure
-// modulo arguments, and must say so in source with //rbvet:pure. Keyed
-// by types.Func.FullName.
+// memoizedRoots are the functions the sim segment table and the planner
+// memo cache memoize: their results are stored and replayed, so they MUST
+// be pure modulo arguments, and must say so in source with //rbvet:pure.
+// Keyed by types.Func.FullName.
 var memoizedRoots = map[string]string{
-	"(*repro/internal/sim.Simulator).buildSegment": "segment LRU (sim.segs)",
+	"(*repro/internal/sim.Simulator).buildSegment": "segment table (sim.segs)",
 	"(*repro/internal/sim.segment).sample":         "segment table's sample slot (segment.samples)",
 	"(*repro/internal/sim.segment).moments":        "segment table's moment slot (segment.mom)",
 	"(*repro/internal/sim.Simulator).Estimate":     "planner memo cache (Planner.memo)",
-	"(repro/internal/sim.Plan).Key":                "plan LRU / memo keys",
+	"(repro/internal/sim.Plan).Key":                "memo keys",
 	"(*repro/internal/dag.Latency).Sample":         "segment latencies sampled into the segment table",
 	"(*repro/internal/dag.Latency).Moment":         "segment latencies moment-propagated into the segment table",
 }

@@ -100,7 +100,7 @@ func FuzzPlanElastic(f *testing.F) {
 		// same plan with a bit-identical estimate.
 		ref := &Planner{
 			Sim: newSim(), Deadline: deadline, MaxGPUs: maxGPUs, Workers: 1,
-			DisableAnalyticPrune: true, DisableFrontierDedupe: true,
+			disableAnalyticPrune: true, disableFrontierDedupe: true,
 		}
 		rres, rerr := ref.PlanElastic()
 		if rerr != nil {

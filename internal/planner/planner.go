@@ -62,21 +62,6 @@ type Planner struct {
 	// reduction instead of Equation 1's JCT-normalized marginal benefit;
 	// exposed for the design-choice ablation.
 	RawCostSelection bool
-	// ShortlistK is the minimum number of frontier candidates the
-	// analytic pre-screen keeps for Monte-Carlo estimation (phase two of
-	// the search). Zero selects a small default. Larger values trade
-	// planning latency for extra safety margin against analytic bias.
-	ShortlistK int
-	// DisableAnalyticPrune turns off the analytic batch-scoring phase
-	// entirely: every candidate is Monte-Carlo estimated, as in the
-	// single-phase search. Exposed as the reference mode for the
-	// shortlist-safety tests and the planning benchmarks.
-	DisableAnalyticPrune bool
-	// DisableFrontierDedupe turns off canonical-allocation memo sharing:
-	// behaviorally identical candidates (allocations rounded to the same
-	// fair per-trial share) are re-estimated instead of reusing each
-	// other's estimates. Exposed for the grid-equivalence ablation.
-	DisableFrontierDedupe bool
 	// Workers bounds the goroutines that evaluate candidate plans
 	// concurrently (independent of the simulator's own Monte-Carlo worker
 	// pool). Zero or 1 evaluates serially; the planner fans out only when
@@ -98,6 +83,17 @@ type Planner struct {
 	// prunedCands counts frontier candidates the analytic screen excluded
 	// from Monte-Carlo estimation (see PrunedCandidates).
 	prunedCands int64
+
+	// disableAnalyticPrune turns off the analytic batch-scoring phase
+	// entirely: every candidate is Monte-Carlo estimated, as in the
+	// single-phase search. Tests set it to get the reference search the
+	// shortlist-safety checks compare against.
+	disableAnalyticPrune bool
+	// disableFrontierDedupe turns off canonical-allocation memo sharing:
+	// behaviorally identical candidates (allocations rounded to the same
+	// fair per-trial share) are re-estimated instead of reusing each
+	// other's estimates. Tests set it for the grid-equivalence check.
+	disableFrontierDedupe bool
 }
 
 // memoKey returns the memo key for a plan: its canonical-allocation key
@@ -108,7 +104,7 @@ type Planner struct {
 // canonical segment tuples, and false for the full-DAG estimator, whose
 // streams are keyed by the raw plan.
 func (p *Planner) memoKey(plan sim.Plan) string {
-	if p.DisableFrontierDedupe || p.Sim.Estimator() == sim.EstimatorFull {
+	if p.disableFrontierDedupe || p.Sim.Estimator() == sim.EstimatorFull {
 		return plan.Key()
 	}
 	return p.Sim.CanonicalPlanKey(plan)

@@ -29,9 +29,9 @@ const (
 	// moment-matching bias (the dag-level validation bounds the per-stage
 	// mean error near 1%; 2% is conservative for whole plans).
 	pruneBias = 0.02
-	// defaultShortlistK is the minimum number of candidates kept for the
+	// shortlistK is the minimum number of candidates kept for the
 	// Monte-Carlo phase when pruning would cut deeper.
-	defaultShortlistK = 8
+	shortlistK = 8
 )
 
 // frontierScreen wraps one analytic evaluator for a single search. A nil
@@ -51,7 +51,7 @@ type frontierScreen struct {
 // one simulator score warm frontiers at map-probe cost; callers must
 // release the screen when the search returns.
 func (p *Planner) newScreen() *frontierScreen {
-	if p.DisableAnalyticPrune || p.Sim.Estimator() == sim.EstimatorAnalytic {
+	if p.disableAnalyticPrune || p.Sim.Estimator() == sim.EstimatorAnalytic {
 		return nil
 	}
 	return &frontierScreen{
@@ -90,14 +90,6 @@ func (s *frontierScreen) jctMargin(e sim.Estimate) float64 {
 // costMargin is the safety slack around an analytic cost.
 func (s *frontierScreen) costMargin(e sim.Estimate) float64 {
 	return pruneKappa*e.CostStd/s.sqrtN + pruneBias*e.Cost
-}
-
-// shortlistK returns the configured Monte-Carlo shortlist floor.
-func (p *Planner) shortlistK() int {
-	if p.ShortlistK > 0 {
-		return p.ShortlistK
-	}
-	return defaultShortlistK
 }
 
 // pruneEnumeration analytically prunes a one-dimensional enumeration
@@ -198,7 +190,7 @@ func (p *Planner) pruneDescentStep(scr *frontierScreen, cands []sim.Plan, keep [
 // frontier is a provable no-op and is skipped outright.
 func (p *Planner) worthScreening(keep []bool) bool {
 	live := 0
-	want := p.shortlistK()
+	want := shortlistK
 	for _, k := range keep {
 		if k {
 			live++
@@ -224,7 +216,7 @@ func (p *Planner) restoreShortlist(keep []bool, dropped []int, obj func(int) flo
 			kept++
 		}
 	}
-	want := p.shortlistK()
+	want := shortlistK
 	if kept >= want {
 		atomic.AddInt64(&p.prunedCands, int64(len(dropped)))
 		return

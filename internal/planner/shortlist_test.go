@@ -20,8 +20,8 @@ import (
 func referencePlanner(t *testing.T, sc harness.Scenario, seed uint64) (*planner.Planner, float64) {
 	t.Helper()
 	p, deadline := newPlanner(t, sc, sc.Profile, seed, 0.01)
-	p.DisableAnalyticPrune = true
-	p.DisableFrontierDedupe = true
+	planner.DisableAnalyticPrune(p)
+	planner.DisableFrontierDedupe(p)
 	return p, deadline
 }
 
@@ -74,7 +74,7 @@ func TestFrontierDedupeGridEquivalence(t *testing.T) {
 			continue // dedupe is (correctly) inert for plan-keyed streams
 		}
 		dedup, _ := newPlanner(t, sc, sc.Profile, seed, 0.01)
-		dedup.DisableAnalyticPrune = true
+		planner.DisableAnalyticPrune(dedup)
 		plain, _ := referencePlanner(t, sc, seed)
 		dres, derr := dedup.PlanElastic()
 		pres, perr := plain.PlanElastic()

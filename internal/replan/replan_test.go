@@ -66,7 +66,6 @@ func TestConfigValidation(t *testing.T) {
 		{"nan deadline", func(c *Config) { c.Deadline = math.NaN() }},
 		{"inf deadline", func(c *Config) { c.Deadline = math.Inf(1) }},
 		{"zero max gpus", func(c *Config) { c.MaxGPUs = 0 }},
-		{"alpha over 1", func(c *Config) { c.Alpha = 1.5 }},
 		{"bad cloud", func(c *Config) { c.Cloud.Instance.GPUs = 0 }},
 	}
 	for _, tc := range cases {
@@ -88,9 +87,12 @@ func TestDefaultsApplied(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := c.Config()
-	if cfg.Threshold != 0.25 || cfg.Alpha != 0.3 || cfg.MinObservations != 3 ||
-		cfg.CooldownSeconds != 60 || cfg.Delta != 0.01 || cfg.Samples != sim.DefaultSamples {
+	if cfg.Threshold != 0.25 || cfg.CooldownSeconds != 60 || cfg.Samples != sim.DefaultSamples {
 		t.Fatalf("defaults not applied: %+v", cfg)
+	}
+	if alpha != 0.3 || minObservations != 3 || delta != 0.01 || preScreenTolerance != 0.05 {
+		t.Fatalf("detector constants (alpha %v, minObservations %v, delta %v, preScreenTolerance %v) drifted from 0.3, 3, 0.01, 0.05",
+			alpha, minObservations, delta, preScreenTolerance)
 	}
 }
 
@@ -112,11 +114,11 @@ func TestDriftTriggersAfterMinObservations(t *testing.T) {
 	pred := c.Config().Profile.IterDist(4).Mean()
 	for i := 0; i < 2; i++ {
 		if c.ObserveIteration(4, 2*pred, vclock.Time(i)) {
-			t.Fatalf("detector fired at observation %d, MinObservations is 3", i+1)
+			t.Fatalf("detector fired at observation %d, minObservations is 3", i+1)
 		}
 	}
 	if !c.ObserveIteration(4, 2*pred, 2) {
-		t.Fatal("detector did not fire at 2x drift after MinObservations")
+		t.Fatal("detector did not fire at 2x drift after minObservations")
 	}
 }
 

@@ -134,16 +134,10 @@ func zooModel(name string) (*model.Model, error) {
 
 // estimatorMode parses the estimator field ("" defaults to segment).
 func estimatorMode(s string) (sim.EstimatorMode, error) {
-	switch s {
-	case "", "segment":
+	if s == "" {
 		return sim.EstimatorSegment, nil
-	case "full":
-		return sim.EstimatorFull, nil
-	case "analytic":
-		return sim.EstimatorAnalytic, nil
-	default:
-		return 0, fmt.Errorf("unknown estimator %q (want segment, full or analytic)", s)
 	}
+	return sim.ParseEstimator(s)
 }
 
 // instanceName applies the worker-type default.

@@ -207,6 +207,12 @@ func TestServerRejections(t *testing.T) {
 		t.Fatalf("unknown model: %d %s", resp.StatusCode, body)
 	}
 
+	odd := smallSub("acme", 1)
+	odd.Estimator = "exact"
+	if resp, body := postSub(t, ts, odd); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown estimator: %d %s", resp.StatusCode, body)
+	}
+
 	greedy := smallSub("acme", 1)
 	greedy.MaxGPUs = 64 // above the tenant quota
 	if resp, body := postSub(t, ts, greedy); resp.StatusCode != http.StatusBadRequest {

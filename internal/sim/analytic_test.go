@@ -213,7 +213,7 @@ func TestCanonicalAllocSharesEverything(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		segsBefore := sm.segs.len()
+		segsBefore := len(sm.segs)
 		eb, err := sm.Estimate(b)
 		if err != nil {
 			t.Fatal(err)
@@ -221,7 +221,7 @@ func TestCanonicalAllocSharesEverything(t *testing.T) {
 		if ea != eb {
 			t.Fatalf("%v: equivalent allocations estimate differently: %+v != %+v", mode, ea, eb)
 		}
-		if got := sm.segs.len(); got != segsBefore {
+		if got := len(sm.segs); got != segsBefore {
 			t.Fatalf("%v: segment cache grew from %d to %d on an equivalent allocation", mode, segsBefore, got)
 		}
 	}

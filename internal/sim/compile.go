@@ -8,15 +8,6 @@ import (
 	"repro/internal/stats"
 )
 
-// Cache capacities. Segments are shared across plans (a job with S stages
-// and A feasible allocations has at most S·A·|instance counts| distinct
-// segments, but the greedy planner's working set is far smaller), so the
-// segment table is sized larger than the plan cache.
-const (
-	planCacheCap = 512
-	segCacheCap  = 4096
-)
-
 // segStreamDomain separates the segment-keyed RNG stream family from the
 // plan-keyed family used by EstimatorFull and from any other Hash64 users.
 const segStreamDomain = 0x7365676d656e7431 // "segment1"
@@ -48,10 +39,10 @@ type segKey struct {
 // range of BuildDAG's graph, bit for bit; the segment-table tests hold
 // them to it.
 //
-// A segment is the one entry the simulator caches per segKey: its shape
+// A segment is the one entry the simulator keeps per segKey: its shape
 // is immutable after buildSegment, and its two estimate slots (the
 // Monte-Carlo sample vector and the analytic moments) fill lazily on
-// first use under Simulator.mu and are evicted together with the entry.
+// first use under Simulator.mu.
 type segment struct {
 	key segKey
 	// scale, init and train are the SCALE, INIT_INSTANCE and TRAIN
@@ -160,25 +151,12 @@ type compiledPlan struct {
 	maxInstances int
 }
 
-// compile resolves a plan to its compiled form, consulting the plan LRU
-// first and composing cache-shared segments on a miss. The result is a
-// pure function of the simulator's configuration and the plan, so benign
-// double computation under concurrent misses is harmless.
+// compile resolves a plan into a fresh compiledPlan.
 func (s *Simulator) compile(p Plan) (*compiledPlan, error) {
-	key := p.Key()
-	s.mu.Lock()
-	cp, ok := s.plans.get(key)
-	s.mu.Unlock()
-	if ok {
-		return cp, nil
-	}
-	cp = &compiledPlan{segs: make([]*segment, 0, len(p.Alloc))}
+	cp := &compiledPlan{segs: make([]*segment, 0, len(p.Alloc))}
 	if err := s.resolve(p, cp); err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	s.plans.put(key, cp)
-	s.mu.Unlock()
 	return cp, nil
 }
 
@@ -238,20 +216,27 @@ func (s *Simulator) CanonicalPlanKey(p Plan) string {
 	return string(b)
 }
 
-// segmentFor returns the segment for key, building it on a cache
-// miss.
+// segmentFor returns the table's segment for key, building and
+// inserting it on first use. A segment is a pure function of its key,
+// so when two callers race to build one, the first insert wins and the
+// other's copy is dropped. The key space — stages × canonical
+// allocations up to the largest plan × instance counts — is finite, so
+// the table needs no eviction.
 func (s *Simulator) segmentFor(key segKey) *segment {
 	s.mu.Lock()
-	sg, ok := s.segs.get(key)
+	sg, ok := s.segs[key]
 	s.mu.Unlock()
 	if ok {
 		return sg
 	}
-	sg = s.buildSegment(key)
+	built := s.buildSegment(key)
 	s.mu.Lock()
-	s.segs.put(key, sg)
-	s.mu.Unlock()
-	return sg
+	defer s.mu.Unlock()
+	if sg, ok := s.segs[key]; ok {
+		return sg
+	}
+	s.segs[key] = built
+	return built
 }
 
 // buildSegment derives one stage's closed-form segment from its tuple:
@@ -293,8 +278,7 @@ func (s *Simulator) segStream(key segKey) *stats.RNG {
 // segmentSamples returns the segment's s.samples-long sample vector,
 // filling its slot on first use. Sample k always draws from the k-th
 // stream of the tuple's family and slots are index-addressed, so the
-// vector is bit-identical at any worker count; eviction merely forces a
-// recomputation of the same values.
+// vector is bit-identical at any worker count.
 func (s *Simulator) segmentSamples(sg *segment) []segSample {
 	s.mu.Lock()
 	v := sg.samples

@@ -173,8 +173,8 @@ func TestEstimatorsAgreeToMonteCarloTolerance(t *testing.T) {
 }
 
 // TestSegmentEstimatesPureAcrossCacheState: an estimate must not depend
-// on what the segment and plan caches happen to hold — evaluating many
-// other plans (sharing and evicting segments) between two estimates of
+// on what the segment table happens to hold — evaluating many other
+// plans (sharing segments) between two estimates of
 // the same plan must not change a bit, and a cold simulator must agree
 // with a warm one.
 func TestSegmentEstimatesPureAcrossCacheState(t *testing.T) {
@@ -306,8 +306,8 @@ func TestSegmentCacheReusesAcrossPlans(t *testing.T) {
 
 // segTableKeys snapshots the keys of the simulator's segment table.
 func segTableKeys(sm *Simulator) map[segKey]bool {
-	keys := make(map[segKey]bool, sm.segs.len())
-	for k := range sm.segs.idx {
+	keys := make(map[segKey]bool, len(sm.segs))
+	for k := range sm.segs {
 		keys[k] = true
 	}
 	return keys
@@ -317,12 +317,11 @@ func segTableKeys(sm *Simulator) map[segKey]bool {
 // failing unless exactly one entry was added.
 func newSegment(t *testing.T, sm *Simulator, before map[segKey]bool) *segment {
 	t.Helper()
-	if got := sm.segs.len(); got != len(before)+1 {
+	if got := len(sm.segs); got != len(before)+1 {
 		t.Fatalf("segment table grew from %d to %d, want exactly one new entry", len(before), got)
 	}
-	for k := range sm.segs.idx {
+	for k, sg := range sm.segs {
 		if !before[k] {
-			sg, _ := sm.segs.get(k)
 			return sg
 		}
 	}

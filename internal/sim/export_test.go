@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/dag"
 	"repro/internal/stats"
@@ -25,14 +27,20 @@ import (
 // every stage of every plan the simulator scored.
 func CheckSegmentTable(s *Simulator) (int, error) {
 	s.mu.Lock()
-	var entries []*segment
-	byStage := make(map[int][]*segment)
-	for e := s.segs.head.next; e != &s.segs.head; e = e.next {
-		sg := e.val
+	entries := make([]*segment, 0, len(s.segs))
+	for _, sg := range s.segs {
 		entries = append(entries, sg)
-		byStage[sg.key.stage] = append(byStage[sg.key.stage], sg)
 	}
 	s.mu.Unlock()
+	// Map order is random; sort by key so the witness each entry picks
+	// from byStage is deterministic.
+	slices.SortFunc(entries, func(a, b *segment) int {
+		return cmp.Or(cmp.Compare(a.key.stage, b.key.stage), cmp.Compare(a.key.alloc, b.key.alloc), cmp.Compare(a.key.prev, b.key.prev))
+	})
+	byStage := make(map[int][]*segment)
+	for _, sg := range entries {
+		byStage[sg.key.stage] = append(byStage[sg.key.stage], sg)
+	}
 
 	for _, sg := range entries {
 		plan, err := s.witness(sg, byStage)
@@ -186,4 +194,38 @@ func sameMoment(a, b stats.Moment) bool { return sameBits(a.Mean, b.Mean) && sam
 // prev) without touching the segment table.
 func (s *Simulator) BuildSegment(stage, alloc, prev int) {
 	s.buildSegment(segKey{stage: stage, alloc: alloc, prev: prev})
+}
+
+// SegmentTableKeys returns the (stage, alloc, prev) keys of s's segment
+// table.
+func SegmentTableKeys(s *Simulator) map[[3]int]bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	keys := make(map[[3]int]bool, len(s.segs))
+	for k := range s.segs {
+		keys[[3]int{k.stage, k.alloc, k.prev}] = true
+	}
+	return keys
+}
+
+// SegmentKeySpace enumerates every segment key a plan with stage
+// allocations in 1..maxGPUs can resolve to: per stage, each canonical
+// allocation under each instance count some allocation of the previous
+// stage leaves up (none before stage 0).
+func SegmentKeySpace(s *Simulator, maxGPUs int) map[[3]int]bool {
+	space := make(map[[3]int]bool)
+	prevs := map[int]bool{0: true}
+	for i := 0; i < s.spec.NumStages(); i++ {
+		next := make(map[int]bool)
+		for a := 1; a <= maxGPUs; a++ {
+			alloc := canonAlloc(a, s.spec.Stage(i).Trials)
+			for prev := range prevs {
+				key := segKey{stage: i, alloc: alloc, prev: prev}
+				space[[3]int{i, alloc, prev}] = true
+				next[s.buildSegment(key).instances] = true
+			}
+		}
+		prevs = next
+	}
+	return space
 }

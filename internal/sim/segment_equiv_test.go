@@ -101,13 +101,45 @@ func TestBuildSegmentAllocs(t *testing.T) {
 
 // TestColdPlanElasticAllocs pins the allocations of one cold paper-job
 // plan: a fresh simulator and a serial PlanElastic at the 30-minute
-// deadline. It measures 2,576; the bound adds 10%, which also leaves
+// deadline. It measures 2,242; the bound adds 10%, which also leaves
 // room for a garbage collection emptying the analytic-evaluator pool
 // mid-plan.
 func TestColdPlanElasticAllocs(t *testing.T) {
-	const bound = 2834
+	const bound = 2466
 	allocs := testing.AllocsPerRun(5, func() { paperPlan(t, 30) })
 	if allocs > bound {
 		t.Fatalf("cold paper-job PlanElastic allocates %v, want <= %d", allocs, bound)
 	}
+}
+
+// TestSegmentTableBoundedByKeySpace: the segment table needs no
+// eviction because its keys come from a finite space fixed by the job
+// and the planner's GPU cap. A cold PlanElastic plus PlanStatic on the
+// paper job stays inside that space, and planning again over the same
+// simulator adds no entries.
+func TestSegmentTableBoundedByKeySpace(t *testing.T) {
+	const maxGPUs = 128
+	sm := paperSim(t)
+	space := sim.SegmentKeySpace(sm, maxGPUs)
+	plan := func() {
+		p := &planner.Planner{Sim: sm, Deadline: 30 * 60, MaxGPUs: maxGPUs, Workers: 1}
+		if _, err := p.PlanElastic(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.PlanStatic(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plan()
+	cold := sim.SegmentTableKeys(sm)
+	for k := range cold {
+		if !space[k] {
+			t.Fatalf("segment key %v is outside the enumerated key space", k)
+		}
+	}
+	plan()
+	if n := len(sim.SegmentTableKeys(sm)); n != len(cold) {
+		t.Fatalf("re-planning grew the segment table from %d to %d entries", len(cold), n)
+	}
+	t.Logf("%d of %d possible segments built", len(cold), len(space))
 }

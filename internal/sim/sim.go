@@ -26,14 +26,13 @@ type Estimate struct {
 //
 // A Simulator's configuration is immutable after construction and it is
 // safe for concurrent use by multiple goroutines. Its only mutable state
-// is two mutex-guarded bounded LRU caches memoizing pure computations —
-// compiled plans, and the segment table of closed-form stage segments
-// with their lazily filled sample vectors and moments — so
-// Estimate and Breakdown remain pure functions of the simulator's
-// configuration and the plan: every Monte-Carlo draw derives a private RNG stream from the
-// construction-time seed state, keyed by (stream family, sample index),
-// and results do not depend on cache state, call order, goroutine, or
-// worker count.
+// is the mutex-guarded segment table of closed-form stage segments, with
+// their lazily filled sample vectors and moments, all pure functions of
+// their keys; so Estimate and Breakdown remain pure functions of the
+// simulator's configuration and the plan: every Monte-Carlo draw derives
+// a private RNG stream from the construction-time seed state, keyed by
+// (stream family, sample index), and results do not depend on table
+// state, call order, goroutine, or worker count.
 type Simulator struct {
 	spec    *spec.ExperimentSpec
 	profile TrainProfile
@@ -49,14 +48,13 @@ type Simulator struct {
 	// stats.RNG.Stream, which is pure, so concurrent derivation is safe.
 	root stats.RNG
 
-	// mu guards the caches below. Misses are computed outside the lock
-	// and inserted last-write-wins: every cached value is a pure function
-	// of its key and the configuration, so double computation is benign.
-	mu    sync.Mutex
-	plans *lru[string, *compiledPlan]
+	// mu guards the segment table and its entries' lazy slots. Misses are
+	// computed outside the lock: every value is a pure function of its
+	// key and the configuration, so double computation is benign.
+	mu sync.Mutex
 	// segs is the segment table: one entry per segKey holding the
 	// segment and, once used, its sample vector and moments.
-	segs *lru[segKey, *segment]
+	segs map[segKey]*segment
 
 	// anaPool recycles AnalyticEval scratch for Estimate's analytic mode;
 	// evaluators are stateless between uses, so pooling only saves
@@ -105,8 +103,7 @@ func New(s *spec.ExperimentSpec, profile TrainProfile, cp CloudProfile, samples 
 		cloud:   cp,
 		samples: samples,
 		root:    *rng,
-		plans:   newLRU[string, *compiledPlan](planCacheCap),
-		segs:    newLRU[segKey, *segment](segCacheCap),
+		segs:    make(map[segKey]*segment),
 	}
 	for _, o := range opts {
 		o(sm)
