@@ -66,7 +66,7 @@ test-recovery:
 test-serve:
 	go test -race -count=1 ./internal/serve ./cmd/rbserve
 	go test -race -count=1 ./internal/harness -run 'TestCheckFleet|TestArbitrated|TestGated|TestRunningStepwise'
-	go test -race -count=1 ./internal/core -run 'TestRunMultiJobShared'
+	go test -race -count=1 ./internal/core -run 'TestRunMultiJob'
 	go test -race -count=1 ./internal/executor -run 'TestStageGate'
 
 # Bounded chaos pass for CI: a fixed scenario batch through every

@@ -39,7 +39,7 @@ func main() {
 	}
 
 	fmt.Printf("Hyperband(R=27, η=3): %d brackets, executed concurrently\n\n", len(brackets))
-	res, err := exp.RunMultiJob(brackets)
+	res, err := exp.RunMultiJob(brackets, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

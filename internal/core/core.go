@@ -112,8 +112,8 @@ type Experiment struct {
 	// provider, matching the paper's assumptions.
 	Faults cloud.FaultModel
 	// Trace, if set, records execution events. Only Run and Execute
-	// honour it: RunMultiJob and RunMultiJobShared return an error when it
-	// is set, because trace events carry no bracket id.
+	// honour it: RunMultiJob returns an error when it is set, because
+	// trace events carry no bracket id.
 	Trace *trace.Recorder
 }
 

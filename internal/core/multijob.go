@@ -45,39 +45,28 @@ var errMultiTrace = errors.New("core: Trace is not supported for multi-job runs 
 // RunMultiJob plans each bracket independently under the template
 // experiment's deadline and policy, then executes all brackets
 // concurrently in a single virtual timeline: one shared clock, one
-// provider and cluster manager per bracket (brackets scale independently;
-// costs aggregate). The template's Spec field is ignored; each bracket
-// supplies its own. The template's Trace must be nil: trace events carry
-// no bracket id, so RunMultiJob returns an error rather than mix brackets
-// in one recorder.
-func (e *Experiment) RunMultiJob(brackets []*spec.ExperimentSpec) (*MultiResult, error) {
-	return e.runBrackets(brackets, 0)
-}
-
-// RunMultiJobShared is RunMultiJob on a capacity-constrained cluster:
-// the brackets still share one virtual timeline, but their stage-
-// boundary allocations are arbitrated against a single GPU capacity — a
-// bracket entering a stage exchanges its current hold for min(planned,
-// free) GPUs, never below 1, and a finished bracket releases its hold
-// for the others. This is the single-process seed of the serve control
-// plane's cross-experiment arbiter: same exchange rule, same capacity
-// invariant (Σ holds ≤ capacity after every grant), no wall clock.
+// provider and cluster manager per bracket. The template's Spec field is
+// ignored; each bracket supplies its own.
+//
+// capacity 0 runs the brackets unconstrained: they scale independently
+// and their costs aggregate. A positive capacity arbitrates their
+// stage-boundary allocations against one shared GPU capacity — a bracket
+// entering a stage exchanges its current hold for min(planned, free)
+// GPUs, never below 1, and a finished bracket releases its hold for the
+// others. This is the single-process seed of the serve control plane's
+// cross-experiment arbiter: same exchange rule, same capacity invariant
+// (Σ holds ≤ capacity after every grant), no wall clock. A positive
 // capacity must be at least len(brackets) so every live bracket can hold
-// its 1-GPU minimum. As with RunMultiJob, Trace must be nil.
-func (e *Experiment) RunMultiJobShared(brackets []*spec.ExperimentSpec, capacity int) (*MultiResult, error) {
-	if len(brackets) > 0 && capacity < len(brackets) {
-		return nil, fmt.Errorf("core: capacity %d < %d brackets (each live bracket holds >= 1 GPU)", capacity, len(brackets))
-	}
-	return e.runBrackets(brackets, capacity)
-}
-
-// runBrackets is the multi-job body: plan every bracket, then launch
-// them all on one shared clock and step it until every bracket is done.
-// capacity 0 runs the brackets unconstrained; a positive capacity
-// arbitrates every stage boundary against the shared GPU ledger.
-func (e *Experiment) runBrackets(brackets []*spec.ExperimentSpec, capacity int) (*MultiResult, error) {
+// its 1-GPU minimum.
+//
+// The template's Trace must be nil: trace events carry no bracket id, so
+// RunMultiJob returns an error rather than mix brackets in one recorder.
+func (e *Experiment) RunMultiJob(brackets []*spec.ExperimentSpec, capacity int) (*MultiResult, error) {
 	if len(brackets) == 0 {
 		return nil, fmt.Errorf("core: no brackets")
+	}
+	if capacity < 0 || capacity > 0 && capacity < len(brackets) {
+		return nil, fmt.Errorf("core: capacity %d < %d brackets (each live bracket holds >= 1 GPU)", capacity, len(brackets))
 	}
 	if e.Trace != nil {
 		return nil, errMultiTrace

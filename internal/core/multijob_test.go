@@ -15,7 +15,7 @@ func TestRunMultiJobHyperband(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.RunMultiJob(brackets)
+	res, err := e.RunMultiJob(brackets, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestRunMultiJobHyperband(t *testing.T) {
 
 func TestRunMultiJobValidation(t *testing.T) {
 	e := table2Experiment(t, PolicyRubberBand, 20*time.Minute, 42)
-	if _, err := e.RunMultiJob(nil); err == nil {
+	if _, err := e.RunMultiJob(nil, 0); err == nil {
 		t.Error("empty bracket list accepted")
 	}
 }
@@ -66,7 +66,7 @@ func TestRunMultiJobDeterministic(t *testing.T) {
 	}
 	runOnce := func() *MultiResult {
 		e := table2Experiment(t, PolicyRubberBand, 20*time.Minute, 43)
-		res, err := e.RunMultiJob(brackets)
+		res, err := e.RunMultiJob(brackets, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func TestRunMultiJobSharedCapacityInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	const capacity = 6
-	res, err := e.RunMultiJobShared(brackets, capacity)
+	res, err := e.RunMultiJob(brackets, capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestRunMultiJobSharedCapacityInvariant(t *testing.T) {
 		}
 	}
 	// The constrained fleet can be no faster than the unconstrained one.
-	free, err := table2Experiment(t, PolicyRubberBand, 20*time.Minute, 44).RunMultiJob(brackets)
+	free, err := table2Experiment(t, PolicyRubberBand, 20*time.Minute, 44).RunMultiJob(brackets, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,11 +127,14 @@ func TestRunMultiJobSharedValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.RunMultiJobShared(nil, 8); err == nil {
+	if _, err := e.RunMultiJob(nil, 8); err == nil {
 		t.Error("empty bracket list accepted")
 	}
-	if _, err := e.RunMultiJobShared(brackets, len(brackets)-1); err == nil {
+	if _, err := e.RunMultiJob(brackets, len(brackets)-1); err == nil {
 		t.Error("capacity below bracket count accepted")
+	}
+	if _, err := e.RunMultiJob(brackets, -1); err == nil {
+		t.Error("negative capacity accepted")
 	}
 }
 
@@ -142,7 +145,7 @@ func TestRunMultiJobSharedDeterministic(t *testing.T) {
 	}
 	runOnce := func() *MultiResult {
 		e := table2Experiment(t, PolicyRubberBand, 20*time.Minute, 46)
-		res, err := e.RunMultiJobShared(brackets, 6)
+		res, err := e.RunMultiJob(brackets, 6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,9 +169,10 @@ func TestRunMultiJobSharedDeterministic(t *testing.T) {
 }
 
 // TestRunMultiJobRejectsTrace: trace events carry no bracket id, so a
-// recorder shared across brackets would conflate their trial IDs. Both
-// multi-job entry points refuse a traced template instead of silently
-// dropping the recorder, and record nothing.
+// recorder shared across brackets would conflate their trial IDs. The
+// multi-job entry point refuses a traced template, with or without a
+// capacity, instead of silently dropping the recorder, and records
+// nothing.
 func TestRunMultiJobRejectsTrace(t *testing.T) {
 	brackets, err := spec.Hyperband(9, 3)
 	if err != nil {
@@ -176,11 +180,11 @@ func TestRunMultiJobRejectsTrace(t *testing.T) {
 	}
 	e := table2Experiment(t, PolicyRubberBand, 20*time.Minute, 47)
 	e.Trace = trace.New()
-	if _, err := e.RunMultiJob(brackets); !errors.Is(err, errMultiTrace) {
+	if _, err := e.RunMultiJob(brackets, 0); !errors.Is(err, errMultiTrace) {
 		t.Errorf("RunMultiJob with Trace: err = %v, want errMultiTrace", err)
 	}
-	if _, err := e.RunMultiJobShared(brackets, 8); !errors.Is(err, errMultiTrace) {
-		t.Errorf("RunMultiJobShared with Trace: err = %v, want errMultiTrace", err)
+	if _, err := e.RunMultiJob(brackets, 8); !errors.Is(err, errMultiTrace) {
+		t.Errorf("RunMultiJob(capacity 8) with Trace: err = %v, want errMultiTrace", err)
 	}
 	if n := e.Trace.Len(); n != 0 {
 		t.Errorf("rejected multi-job recorded %d events", n)

@@ -18,7 +18,9 @@ import (
 // deadline by its own estimate, replanning from an identical simulator is
 // bit-identical, and the default two-phase search (analytic pruning +
 // frontier deduplication) selects exactly the plan the exhaustive
-// single-phase search selects. ErrInfeasible is the only acceptable
+// single-phase search selects. Every feasible input also runs the dual,
+// PlanMinJCT at 1.5 × the elastic cost, under the same contract with the
+// budget in place of the deadline. ErrInfeasible is the only acceptable
 // refusal.
 func FuzzPlanElastic(f *testing.F) {
 	f.Add(uint64(1), uint64(2), uint64(8), uint64(4), uint64(12), uint64(16), uint64(0))
@@ -112,6 +114,46 @@ func FuzzPlanElastic(f *testing.F) {
 		if math.Float64bits(res.Estimate.JCT) != math.Float64bits(rres.Estimate.JCT) ||
 			math.Float64bits(res.Estimate.Cost) != math.Float64bits(rres.Estimate.Cost) {
 			t.Fatalf("pruned estimate %+v != exhaustive %+v", res.Estimate, rres.Estimate)
+		}
+
+		// The dual under a budget with room to move: same contract, with
+		// the budget as the bound. The three planners already hold warm
+		// memos, which must not change any outcome.
+		budget := 1.5 * res.Estimate.Cost
+		mres, merr := p.PlanMinJCT(budget)
+		mres2, merr2 := p2.PlanMinJCT(budget)
+		mref, mreferr := ref.PlanMinJCT(budget)
+		for _, e := range []error{merr, merr2, mreferr} {
+			if e != nil && !errors.Is(e, ErrInfeasible) {
+				t.Fatalf("unexpected min-JCT error: %v", e)
+			}
+		}
+		if (merr == nil) != (merr2 == nil) || (merr == nil) != (mreferr == nil) {
+			t.Fatalf("min-JCT feasibility diverged: %v / fresh %v / exhaustive %v", merr, merr2, mreferr)
+		}
+		if merr != nil {
+			return
+		}
+		if verr := mres.Plan.Validate(s.NumStages()); verr != nil {
+			t.Fatalf("invalid min-JCT plan %v: %v", mres.Plan, verr)
+		}
+		if mres.Plan.Max() > maxGPUs {
+			t.Fatalf("min-JCT plan %v exceeds cap %d", mres.Plan, maxGPUs)
+		}
+		if mres.Estimate.Cost > budget {
+			t.Fatalf("min-JCT estimate cost %v over budget %v", mres.Estimate.Cost, budget)
+		}
+		for _, other := range []struct {
+			name string
+			r    Result
+		}{{"fresh-simulator", mres2}, {"exhaustive", mref}} {
+			if !mres.Plan.Equal(other.r.Plan) {
+				t.Fatalf("min-JCT %s search chose %v, default chose %v", other.name, other.r.Plan, mres.Plan)
+			}
+			if math.Float64bits(mres.Estimate.JCT) != math.Float64bits(other.r.Estimate.JCT) ||
+				math.Float64bits(mres.Estimate.Cost) != math.Float64bits(other.r.Estimate.Cost) {
+				t.Fatalf("min-JCT %s estimate %+v != default %+v", other.name, other.r.Estimate, mres.Estimate)
+			}
 		}
 	})
 }

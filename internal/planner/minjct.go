@@ -1,184 +1,43 @@
 package planner
 
 import (
+	"fmt"
 	"math"
-
-	"repro/internal/par"
-	"repro/internal/sim"
-	"repro/internal/spec"
 )
 
 // PlanMinJCT solves the dual problem the paper notes its techniques
 // extend to (§2, footnote 1): minimize job completion time subject to a
-// cost budget in dollars.
+// cost budget in dollars. A +Inf budget is unbounded.
 //
-// The search mirrors Algorithm 2 with the roles of the objectives
-// swapped: the warm start is the JCT-optimal static allocation whose
-// predicted cost fits the budget, and the greedy loop *increments*
-// per-stage allocations — choosing, each step, the candidate with the
-// largest JCT reduction per added dollar — until the budget is exhausted
-// or no candidate improves JCT meaningfully.
+// The search is Algorithm 2 under the dual goal: the warm start is the
+// JCT-optimal static allocation whose predicted cost fits the budget,
+// and the greedy loop steps per-stage allocations *up* — choosing, each
+// step, the candidate with the largest JCT reduction per added dollar —
+// until the budget is exhausted or no candidate improves JCT by at least
+// a second.
 func (p *Planner) PlanMinJCT(budget float64) (Result, error) {
 	if err := p.validate(); err != nil {
 		return Result{}, err
 	}
+	if math.IsNaN(budget) {
+		return Result{}, fmt.Errorf("planner: NaN budget")
+	}
 	if budget <= 0 {
 		return Result{}, ErrInfeasible
 	}
-	stages := p.Sim.Spec().NumStages()
 	scr := p.newScreen()
 	defer scr.release(p)
-
-	// Warm start: the fastest static allocation within budget. The
-	// frontier is analytically screened first (minimize JCT subject to
-	// the budget), then sizes are evaluated concurrently and reduced in
-	// ascending order, matching the serial enumeration exactly.
-	n := p.maxGPUs()
-	cands := make([]sim.Plan, n)
-	keep := make([]bool, n)
-	for i := range cands {
-		cands[i] = sim.Uniform(i+1, stages)
-		keep[i] = true
+	g := goal{minJCT: true, bound: budget, minGain: 1}
+	warm, err := p.bestUniform(scr, g, nil)
+	if err != nil {
+		return Result{}, err
 	}
-	p.pruneEnumeration(scr, cands, keep, budget, true)
-	ests := make([]sim.Estimate, n)
-	errs := make([]error, n)
-	par.ForEach(n, p.Workers, func(i int) {
-		if keep[i] {
-			ests[i], errs[i] = p.estimate(cands[i])
-		}
-	})
-	best := Result{}
-	found := false
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			return Result{}, errs[i]
-		}
-		if !keep[i] || ests[i].Cost > budget {
-			continue
-		}
-		if !found || ests[i].JCT < best.Estimate.JCT {
-			best = Result{Plan: cands[i], Estimate: ests[i]}
-			found = true
-		}
+	cur, err := p.descend(scr, g, warm)
+	if err != nil {
+		return Result{}, err
 	}
-	if !found {
-		return Result{}, ErrInfeasible
+	if cur.Estimate.JCT < warm.Estimate.JCT {
+		return cur, nil
 	}
-
-	cur := best
-	sp := p.Sim.Spec()
-	gpn := p.Sim.Cloud().Instance.GPUs
-	maxGPUs := p.maxGPUs()
-	for {
-		cands := generateUpCandidates(cur.Plan, sp, gpn, maxGPUs)
-		if len(cands) == 0 {
-			break
-		}
-		ckeep := make([]bool, len(cands))
-		for i := range ckeep {
-			ckeep[i] = true
-		}
-		p.pruneDescentStep(scr, cands, ckeep, cur, budget, true)
-		candEsts := make([]sim.Estimate, len(cands))
-		candErrs := make([]error, len(cands))
-		par.ForEach(len(cands), p.Workers, func(i int) {
-			if ckeep[i] {
-				candEsts[i], candErrs[i] = p.estimate(cands[i])
-			}
-		})
-		bestIdx := -1
-		bestBenefit := math.Inf(-1)
-		var bestEst sim.Estimate
-		for i := range cands {
-			if candErrs[i] != nil {
-				return Result{}, candErrs[i]
-			}
-			if !ckeep[i] {
-				continue
-			}
-			est := candEsts[i]
-			if est.Cost > budget {
-				continue
-			}
-			benefit := jctBenefit(cur.Estimate, est)
-			if benefit > bestBenefit {
-				bestIdx, bestBenefit, bestEst = i, benefit, est
-			}
-		}
-		if bestIdx < 0 {
-			break // every candidate blows the budget
-		}
-		if cur.Estimate.JCT-bestEst.JCT < 1 { // < 1 s of improvement
-			break
-		}
-		cur = Result{Plan: cands[bestIdx], Estimate: bestEst}
-	}
-	if cur.Estimate.JCT < best.Estimate.JCT {
-		best = cur
-	}
-	return best, nil
-}
-
-// jctBenefit mirrors Equation 1 for the dual: JCT reduction per dollar of
-// added cost. Candidates that also reduce cost are unboundedly good;
-// candidates that slow the job are unboundedly bad.
-func jctBenefit(cur, cand sim.Estimate) float64 {
-	dJCT := cur.JCT - cand.JCT
-	dCost := cand.Cost - cur.Cost
-	if dJCT <= 0 {
-		return math.Inf(-1)
-	}
-	if dCost <= 0 {
-		return math.Inf(1)
-	}
-	return dJCT / dCost
-}
-
-// generateUpCandidates produces per-stage increments of the current plan:
-// the next higher fair value, and the smallest fair value that adds a
-// whole instance (the ascent mirror of generateCandidates). The
-// loop-invariant spec, instance size and cap are passed in so the greedy
-// loop resolves them once rather than per iteration.
-func generateUpCandidates(cur sim.Plan, sp *spec.ExperimentSpec, gpn, maxGPUs int) []sim.Plan {
-	var out []sim.Plan
-	add := func(i, v int) {
-		for _, existing := range out {
-			if existing.Equal(withAlloc(cur, i, v)) {
-				return
-			}
-		}
-		out = append(out, withAlloc(cur, i, v))
-	}
-	for i := range cur.Alloc {
-		trials := sp.Stage(i).Trials
-		if v, ok := fairStepUp(cur.Alloc[i], trials, maxGPUs); ok {
-			add(i, v)
-		}
-		if gpn > 0 {
-			curInstances := (cur.Alloc[i] + gpn - 1) / gpn
-			target := curInstances*gpn + 1 // first allocation on a new instance
-			if v, ok := fairCeil(target, trials, maxGPUs); ok && v > cur.Alloc[i] {
-				add(i, v)
-			}
-		}
-	}
-	return out
-}
-
-// fairStepUp returns the smallest allocation strictly above alloc (and at
-// most max) that divides trials evenly, and whether one exists.
-func fairStepUp(alloc, trials, max int) (int, bool) {
-	return fairCeil(alloc+1, trials, max)
-}
-
-// fairCeil returns the smallest allocation v in [min, max] that is a
-// factor or multiple of trials, and whether one exists.
-func fairCeil(min, trials, max int) (int, bool) {
-	for v := min; v <= max; v++ {
-		if v%trials == 0 || trials%v == 0 {
-			return v, true
-		}
-	}
-	return 0, false
+	return warm, nil
 }

@@ -1,7 +1,9 @@
 package planner
 
 import (
+	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -9,6 +11,7 @@ import (
 	"repro/internal/spec"
 )
 
+// TestFairStepUp checks neighbours' plain upward step.
 func TestFairStepUp(t *testing.T) {
 	cases := []struct {
 		alloc, trials, max int
@@ -24,23 +27,51 @@ func TestFairStepUp(t *testing.T) {
 		{2, 1, 4, 3, true}, // everything divides 1
 	}
 	for _, c := range cases {
-		got, ok := fairStepUp(c.alloc, c.trials, c.max)
+		got, ok := fairStep(t, c.alloc, c.trials, c.max, true)
 		if got != c.want || ok != c.ok {
-			t.Errorf("fairStepUp(%d,%d,%d) = (%d,%v), want (%d,%v)",
+			t.Errorf("step up from (%d,%d) within %d = (%d,%v), want (%d,%v)",
 				c.alloc, c.trials, c.max, got, ok, c.want, c.ok)
 		}
 	}
 }
 
+// TestUpNeighbours checks neighbours' upward set with the instance step:
+// the plain step, the first allocation on a new instance when it differs,
+// and nothing past the cap.
+func TestUpNeighbours(t *testing.T) {
+	s := spec.Empty().AddStage(1, 10)
+	cases := []struct {
+		alloc int
+		want  []int
+	}{
+		{13, []int{14, 17}}, // plain step, then the first GPU of a fifth instance
+		{12, []int{13}},     // the instance step is the plain step
+		{63, []int{64}},     // the instance step would pass the cap
+		{64, nil},
+	}
+	for _, c := range cases {
+		var got []int
+		for _, cand := range neighbours(sim.NewPlan(c.alloc), s, 4, true, 64) {
+			got = append(got, cand.Alloc[0])
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("up from %d = %v, want %v", c.alloc, got, c.want)
+		}
+	}
+}
+
+// TestJCTBenefit checks Equation 1's dual mirror: goal.benefit under the
+// JCT goal.
 func TestJCTBenefit(t *testing.T) {
+	g := goal{minJCT: true, bound: 1000}
 	cur := sim.Estimate{JCT: 100, Cost: 10}
-	if b := jctBenefit(cur, sim.Estimate{JCT: 80, Cost: 14}); math.Abs(b-5) > 1e-12 {
+	if b := g.benefit(cur, sim.Estimate{JCT: 80, Cost: 14}); math.Abs(b-5) > 1e-12 {
 		t.Errorf("benefit = %v, want 5", b)
 	}
-	if b := jctBenefit(cur, sim.Estimate{JCT: 80, Cost: 9}); !math.IsInf(b, 1) {
+	if b := g.benefit(cur, sim.Estimate{JCT: 80, Cost: 9}); !math.IsInf(b, 1) {
 		t.Errorf("benefit = %v, want +inf", b)
 	}
-	if b := jctBenefit(cur, sim.Estimate{JCT: 120, Cost: 14}); !math.IsInf(b, -1) {
+	if b := g.benefit(cur, sim.Estimate{JCT: 120, Cost: 14}); !math.IsInf(b, -1) {
 		t.Errorf("benefit = %v, want -inf", b)
 	}
 }
@@ -118,16 +149,24 @@ func TestPlanMinJCTInfeasible(t *testing.T) {
 	if _, err := p.PlanMinJCT(-1); err != ErrInfeasible {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
+	// A NaN budget is an input error: it must not pass as unbounded.
+	if _, err := p.PlanMinJCT(math.NaN()); err == nil || errors.Is(err, ErrInfeasible) {
+		t.Fatalf("NaN budget: err = %v, want an input error", err)
+	}
+	// +Inf is a valid, unbounded budget.
+	if _, err := p.PlanMinJCT(math.Inf(1)); err != nil {
+		t.Fatalf("+Inf budget: %v", err)
+	}
 }
 
-// Property: fairStepUp output is fair, strictly larger, and within the
-// cap when it exists.
+// Property: neighbours' plain upward step is fair, strictly larger, and
+// within the cap when it exists.
 func TestQuickFairStepUp(t *testing.T) {
 	f := func(allocRaw, trialsRaw uint8) bool {
 		alloc := int(allocRaw%100) + 1
 		trials := int(trialsRaw%32) + 1
 		max := 128
-		v, ok := fairStepUp(alloc, trials, max)
+		v, ok := fairStep(t, alloc, trials, max, true)
 		if !ok {
 			// No fair value in (alloc, max]: verify by scan.
 			for x := alloc + 1; x <= max; x++ {

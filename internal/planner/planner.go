@@ -1,7 +1,7 @@
 // Package planner generates resource allocation plans for hyperparameter
 // tuning jobs under a time constraint (§4.3).
 //
-// Three policies are provided:
+// Four policies are provided:
 //
 //   - Static: the baseline from §3.2 — enumerate static cluster sizes and
 //     return the cost-optimal one whose predicted JCT meets the deadline.
@@ -13,8 +13,12 @@
 //     of it), it iteratively decrements per-stage allocations, selecting
 //     the candidate with the highest cost-marginal benefit (Equation 1)
 //     until no candidate improves cost or all violate the deadline.
+//   - MinJCT: the dual (§2, footnote 1) — the same search minimising JCT
+//     under a cost budget, stepping allocations up instead of down.
 //
-// All policies evaluate candidates exclusively through the simulator
+// All four are one search driven by a goal, the only code that knows
+// which half of an estimate is minimised and which is bounded. All
+// policies evaluate candidates exclusively through the simulator
 // (package sim), treating it as a black box.
 package planner
 
@@ -167,71 +171,143 @@ func (p *Planner) validate() error {
 	if p.Sim == nil {
 		return fmt.Errorf("planner: nil simulator")
 	}
-	if p.Deadline <= 0 {
-		return fmt.Errorf("planner: non-positive deadline %v", p.Deadline)
+	if !(p.Deadline > 0) { // also rejects NaN; +Inf is unbounded
+		return fmt.Errorf("planner: deadline %v is not positive", p.Deadline)
 	}
 	return nil
 }
 
+// goal is what one search minimises and what it bounds. It is the only
+// code that knows which half of a sim.Estimate is the objective: cost
+// under a JCT bound (the deadline) for the primal policies, JCT under a
+// cost bound (the budget) for the dual.
+type goal struct {
+	// minJCT selects the dual: minimise JCT subject to cost <= bound.
+	minJCT bool
+	// bound is the constraint: the deadline in seconds, or the budget in
+	// dollars under minJCT.
+	bound float64
+	// minGain is the smallest objective improvement a greedy step must
+	// buy for the search to take it.
+	minGain float64
+}
+
+// costGoal is the primal goal: minimise cost within the deadline.
+func (p *Planner) costGoal() goal {
+	return goal{bound: p.Deadline, minGain: p.delta()}
+}
+
+// split returns e's objective and constrained values.
+func (g goal) split(e sim.Estimate) (obj, con float64) {
+	if g.minJCT {
+		return e.JCT, e.Cost
+	}
+	return e.Cost, e.JCT
+}
+
+// feasible reports whether e's constrained value is not over the bound.
+func (g goal) feasible(e sim.Estimate) bool {
+	_, con := g.split(e)
+	return !(con > g.bound)
+}
+
+// benefit is Equation 1 and its dual mirror: the objective gained per
+// unit of constrained value spent moving from cur to cand. A candidate
+// that gains without spending is unboundedly good; one that gains
+// nothing is unboundedly bad.
+func (g goal) benefit(cur, cand sim.Estimate) float64 {
+	curObj, curCon := g.split(cur)
+	obj, con := g.split(cand)
+	gain, spend := curObj-obj, con-curCon
+	if gain <= 0 {
+		return math.Inf(-1)
+	}
+	if spend <= 0 {
+		return math.Inf(1)
+	}
+	return gain / spend
+}
+
+// best returns the index of the feasible estimate with the lowest
+// objective among those keep admits (nil admits all), ties going to the
+// lowest index, or -1 when none is feasible.
+func (g goal) best(ests []sim.Estimate, keep []bool) int {
+	bi, bestObj := -1, 0.0
+	for i, e := range ests {
+		if keep != nil && !keep[i] || !g.feasible(e) {
+			continue
+		}
+		if obj, _ := g.split(e); bi < 0 || obj < bestObj {
+			bi, bestObj = i, obj
+		}
+	}
+	return bi
+}
+
+// estimateAll evaluates the candidates keep admits (nil admits all)
+// concurrently through the memo and returns their estimates in
+// candidate order, or the first error in candidate order.
+func (p *Planner) estimateAll(cands []sim.Plan, keep []bool) ([]sim.Estimate, error) {
+	ests := make([]sim.Estimate, len(cands))
+	errs := make([]error, len(cands))
+	par.ForEach(len(cands), p.Workers, func(i int) {
+		if keep == nil || keep[i] {
+			ests[i], errs[i] = p.estimate(cands[i])
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return ests, nil
+}
+
+// bestUniform enumerates the static allocations 1..MaxGPUs that admit
+// accepts (nil accepts all), screens them analytically, and returns the
+// best under g. Sizes are evaluated concurrently and reduced in
+// ascending order, so the result matches the serial enumeration exactly
+// (ties go to the smallest cluster).
+func (p *Planner) bestUniform(scr *frontierScreen, g goal, admit func(gpus int) bool) (Result, error) {
+	stages := p.Sim.Spec().NumStages()
+	cands := make([]sim.Plan, p.maxGPUs())
+	keep := make([]bool, len(cands))
+	for i := range cands {
+		cands[i] = sim.Uniform(i+1, stages)
+		keep[i] = admit == nil || admit(i+1)
+	}
+	p.pruneEnumeration(scr, cands, keep, g)
+	ests, err := p.estimateAll(cands, keep)
+	if err != nil {
+		return Result{}, err
+	}
+	i := g.best(ests, keep)
+	if i < 0 {
+		return Result{}, ErrInfeasible
+	}
+	return Result{Plan: cands[i], Estimate: ests[i]}, nil
+}
+
 // PlanStatic finds the cost-optimal static allocation meeting the
 // deadline by one-dimensional enumeration (the warm-start procedure of
-// §4.3 and the paper's fixed-cluster baseline). Cluster sizes are
-// evaluated concurrently and reduced in ascending order, so the result
-// matches the serial enumeration exactly (ties go to the smallest
-// cluster).
+// §4.3 and the paper's fixed-cluster baseline).
 func (p *Planner) PlanStatic() (Result, error) {
 	if err := p.validate(); err != nil {
 		return Result{}, err
 	}
 	scr := p.newScreen()
 	defer scr.release(p)
-	return p.planStatic(scr)
+	return p.planStatic(scr, p.costGoal())
 }
 
 // planStatic is PlanStatic's body with the search's analytic screen
 // threaded in, so PlanElastic shares one screen (and its warm caches)
 // across the warm-start enumeration and every greedy descent.
-func (p *Planner) planStatic(scr *frontierScreen) (Result, error) {
-	stages := p.Sim.Spec().NumStages()
-	n := p.maxGPUs()
-	cands := make([]sim.Plan, n)
-	keep := make([]bool, n)
-	for i := range cands {
-		cands[i] = sim.Uniform(i+1, stages)
-		// The closed-form mean JCT ignores provisioning overheads and
-		// straggler inflation, so it lower-bounds the estimate: anything
-		// already over the deadline cannot become feasible.
-		keep[i] = p.Sim.StaticClusterJCT(i+1) <= p.Deadline
-	}
-	p.pruneEnumeration(scr, cands, keep, p.Deadline, false)
-	ests := make([]sim.Estimate, n)
-	oks := make([]bool, n)
-	errs := make([]error, n)
-	par.ForEach(n, p.Workers, func(i int) {
-		if !keep[i] {
-			return
-		}
-		ests[i], errs[i] = p.estimate(cands[i])
-		oks[i] = errs[i] == nil
-	})
-	best := Result{}
-	found := false
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			return Result{}, errs[i]
-		}
-		if !oks[i] || ests[i].JCT > p.Deadline {
-			continue
-		}
-		if !found || ests[i].Cost < best.Estimate.Cost {
-			best = Result{Plan: sim.Uniform(i+1, stages), Estimate: ests[i]}
-			found = true
-		}
-	}
-	if !found {
-		return Result{}, ErrInfeasible
-	}
-	return best, nil
+func (p *Planner) planStatic(scr *frontierScreen, g goal) (Result, error) {
+	// The closed-form mean JCT ignores provisioning overheads and
+	// straggler inflation, so it lower-bounds the estimate: anything
+	// already over the deadline cannot become feasible.
+	return p.bestUniform(scr, g, func(gpus int) bool { return p.Sim.StaticClusterJCT(gpus) <= g.bound })
 }
 
 // PlanNaiveElastic finds the cost-optimal plan within the constrained
@@ -245,38 +321,28 @@ func (p *Planner) PlanNaiveElastic() (Result, error) {
 	}
 	sp := p.Sim.Spec()
 	// k ranges over per-trial multipliers that keep the peak cluster within
-	// the cap; k = 1 is always considered, mirroring the serial loop.
+	// the cap; k = 1 is always considered.
 	kMax := p.maxGPUs() / sp.TotalTrials()
 	if kMax < 1 {
 		kMax = 1
 	}
 	plans := make([]sim.Plan, kMax)
-	ests := make([]sim.Estimate, kMax)
-	errs := make([]error, kMax)
-	par.ForEach(kMax, p.Workers, func(i int) {
-		k := i + 1
+	for i := range plans {
 		alloc := make([]int, sp.NumStages())
 		for j := range alloc {
-			alloc[j] = sp.Stage(j).Trials * k
+			alloc[j] = sp.Stage(j).Trials * (i + 1)
 		}
 		plans[i] = sim.Plan{Alloc: alloc}
-		ests[i], errs[i] = p.estimate(plans[i])
-	})
-	best := Result{}
-	found := false
-	for i := 0; i < kMax; i++ {
-		if errs[i] != nil {
-			return Result{}, errs[i]
-		}
-		if ests[i].JCT <= p.Deadline && (!found || ests[i].Cost < best.Estimate.Cost) {
-			best = Result{Plan: plans[i], Estimate: ests[i]}
-			found = true
-		}
 	}
-	if !found {
+	ests, err := p.estimateAll(plans, nil)
+	if err != nil {
+		return Result{}, err
+	}
+	i := p.costGoal().best(ests, nil)
+	if i < 0 {
 		return Result{}, ErrInfeasible
 	}
-	return best, nil
+	return Result{Plan: plans[i], Estimate: ests[i]}, nil
 }
 
 // PlanElastic runs RubberBand's greedy optimizer (Algorithm 2) from each
@@ -289,7 +355,8 @@ func (p *Planner) PlanElastic() (Result, error) {
 	}
 	scr := p.newScreen()
 	defer scr.release(p)
-	staticBest, err := p.planStatic(scr)
+	g := p.costGoal()
+	staticBest, err := p.planStatic(scr, g)
 	if err != nil {
 		return Result{}, err
 	}
@@ -307,14 +374,13 @@ func (p *Planner) PlanElastic() (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		if warmEst.JCT > p.Deadline {
+		if !g.feasible(warmEst) {
 			// An inflated warm start can blow the deadline through
-			// added provisioning overhead; skip it.
-			if mult != 1 {
-				continue
-			}
+			// added provisioning overhead; skip it. Multiplier 1 is
+			// staticBest itself, which is always feasible.
+			continue
 		}
-		res, err := p.optimize(scr, Result{Plan: warm, Estimate: warmEst})
+		res, err := p.descend(scr, g, Result{Plan: warm, Estimate: warmEst})
 		if err != nil {
 			return Result{}, err
 		}
@@ -325,21 +391,25 @@ func (p *Planner) PlanElastic() (Result, error) {
 	return best, nil
 }
 
-// optimize is the greedy descent of Algorithm 2, two-phased: each
-// iteration analytically screens the candidate set (dropping steps that
-// surely violate the deadline or surely cannot reduce cost), evaluates
-// the shortlist concurrently (memoized, so candidates shared with earlier
-// iterations cost nothing), and selects the winner serially in candidate
-// order, keeping the descent deterministic at any worker count.
-func (p *Planner) optimize(scr *frontierScreen, start Result) (Result, error) {
+// descend is the greedy loop of Algorithm 2 under goal g, two-phased:
+// each iteration analytically screens the neighbour set (dropping steps
+// that surely break the bound or surely cannot improve the objective),
+// evaluates the shortlist concurrently (memoized, so neighbours shared
+// with earlier iterations cost nothing), and selects the step with the
+// highest benefit serially in candidate order, keeping the search
+// deterministic at any worker count. The cost goal steps allocations
+// down, the JCT goal steps them up; the loop stops when no neighbour is
+// feasible or the best one gains less than g.minGain.
+func (p *Planner) descend(scr *frontierScreen, g goal, start Result) (Result, error) {
 	cur := start
+	sp := p.Sim.Spec()
 	gpn := p.Sim.Cloud().Instance.GPUs
-	if p.DisableInstanceStep {
+	if p.DisableInstanceStep && !g.minJCT {
 		gpn = 0
 	}
-	sp := p.Sim.Spec()
+	maxGPUs := p.maxGPUs()
 	for {
-		cands := generateCandidates(cur.Plan, sp, gpn)
+		cands := neighbours(cur.Plan, sp, gpn, g.minJCT, maxGPUs)
 		if len(cands) == 0 {
 			return cur, nil
 		}
@@ -347,112 +417,77 @@ func (p *Planner) optimize(scr *frontierScreen, start Result) (Result, error) {
 		for i := range keep {
 			keep[i] = true
 		}
-		p.pruneDescentStep(scr, cands, keep, cur, p.Deadline, false)
-		ests := make([]sim.Estimate, len(cands))
-		errs := make([]error, len(cands))
-		par.ForEach(len(cands), p.Workers, func(i int) {
-			if keep[i] {
-				ests[i], errs[i] = p.estimate(cands[i])
-			}
-		})
-		bestIdx := -1
-		bestBenefit := math.Inf(-1)
-		var bestEst sim.Estimate
-		for i := range cands {
-			if errs[i] != nil {
-				return Result{}, errs[i]
-			}
-			if !keep[i] {
+		p.pruneDescentStep(scr, cands, keep, cur, g)
+		ests, err := p.estimateAll(cands, keep)
+		if err != nil {
+			return Result{}, err
+		}
+		bestIdx, bestBenefit := -1, math.Inf(-1)
+		for i, est := range ests {
+			if !keep[i] || !g.feasible(est) {
 				continue
 			}
-			est := ests[i]
-			if est.JCT > p.Deadline {
-				continue
-			}
-			var benefit float64
-			if p.RawCostSelection {
+			benefit := g.benefit(cur.Estimate, est)
+			if p.RawCostSelection && !g.minJCT {
 				benefit = cur.Estimate.Cost - est.Cost
-			} else {
-				benefit = marginalBenefit(cur.Estimate, est)
 			}
 			if benefit > bestBenefit {
-				bestIdx, bestBenefit, bestEst = i, benefit, est
+				bestIdx, bestBenefit = i, benefit
 			}
 		}
 		if bestIdx < 0 {
-			return cur, nil // every candidate violates the constraint
+			return cur, nil // every neighbour breaks the bound
 		}
-		if cur.Estimate.Cost-bestEst.Cost < p.delta() {
-			return cur, nil // no candidate improves cost enough
+		curObj, _ := g.split(cur.Estimate)
+		if obj, _ := g.split(ests[bestIdx]); curObj-obj < g.minGain {
+			return cur, nil // no neighbour improves the objective enough
 		}
-		cur = Result{Plan: cands[bestIdx], Estimate: bestEst}
+		cur = Result{Plan: cands[bestIdx], Estimate: ests[bestIdx]}
 	}
 }
 
-// marginalBenefit implements Equation 1: cost reduction normalized by the
-// JCT increase it buys. When a candidate improves (or preserves) JCT as
-// well as cost, the benefit is unboundedly good; when it worsens cost, it
-// is unboundedly bad.
-func marginalBenefit(cur, cand sim.Estimate) float64 {
-	dCost := cur.Cost - cand.Cost
-	dJCT := cand.JCT - cur.JCT
-	if dCost <= 0 {
-		return math.Inf(-1)
-	}
-	if dJCT <= 0 {
-		return math.Inf(1)
-	}
-	return dCost / dJCT
-}
-
-// generateCandidates produces per-stage decrements of the current plan
-// (§4.3). For each stage it proposes (a) the next lower fair value — the
-// smallest decrement keeping the stage allocation a factor or multiple of
-// the trial count, so resources always divide evenly — and (b) the largest
-// fair value that releases at least one whole instance of gpusPerNode
-// GPUs. Candidate (b) matters under per-instance billing, where cost only
-// falls at instance boundaries: without it the greedy search stalls on
-// sub-instance decrements that lengthen the stage without releasing any
-// billed machine.
-func generateCandidates(cur sim.Plan, sp *spec.ExperimentSpec, gpusPerNode int) []sim.Plan {
+// neighbours produces the one-stage steps from cur (§4.3): per stage,
+// down (up when up is set) to (a) the next fair value — a factor or
+// multiple of the trial count, so resources always divide evenly — and
+// (b) the nearest fair value that releases (adds) at least one whole
+// instance of gpn GPUs. Step (b) matters under per-instance billing,
+// where cost only changes at instance boundaries: without it the search
+// stalls on sub-instance steps that change the stage's speed without
+// changing any billed machine. gpn 0 disables step (b); upward steps
+// stay within maxGPUs. Steps on different stages always differ, so (b)
+// is a duplicate only when it equals (a) on the same stage.
+func neighbours(cur sim.Plan, sp *spec.ExperimentSpec, gpn int, up bool, maxGPUs int) []sim.Plan {
 	var out []sim.Plan
 	add := func(i, v int) {
-		for _, existing := range out {
-			if existing.Alloc[i] == v && existing.Equal(withAlloc(cur, i, v)) {
-				return
-			}
-		}
-		out = append(out, withAlloc(cur, i, v))
+		q := cur.Clone()
+		q.Alloc[i] = v
+		out = append(out, q)
 	}
-	for i := range cur.Alloc {
+	for i, a := range cur.Alloc {
 		trials := sp.Stage(i).Trials
-		if v, ok := fairStepDown(cur.Alloc[i], trials); ok {
-			add(i, v)
-		}
-		if gpusPerNode > 0 {
-			curInstances := (cur.Alloc[i] + gpusPerNode - 1) / gpusPerNode
-			if curInstances > 1 {
-				target := (curInstances - 1) * gpusPerNode
-				if v, ok := fairFloor(target, trials); ok && v < cur.Alloc[i] {
-					add(i, v)
+		var step, inst int // 0: no such step
+		if up {
+			step, _ = fairCeil(a+1, trials, maxGPUs)
+			if gpn > 0 {
+				// The first allocation on a new instance.
+				inst, _ = fairCeil((a+gpn-1)/gpn*gpn+1, trials, maxGPUs)
+			}
+		} else {
+			step, _ = fairFloor(a-1, trials)
+			if gpn > 0 {
+				if n := (a + gpn - 1) / gpn; n > 1 {
+					inst, _ = fairFloor((n-1)*gpn, trials)
 				}
 			}
 		}
+		if step > 0 {
+			add(i, step)
+		}
+		if inst > 0 && inst != step {
+			add(i, inst)
+		}
 	}
 	return out
-}
-
-func withAlloc(p sim.Plan, i, v int) sim.Plan {
-	q := p.Clone()
-	q.Alloc[i] = v
-	return q
-}
-
-// fairStepDown returns the largest allocation strictly below alloc that is
-// a factor or a multiple of trials (so trials always share it evenly), and
-// whether one exists. Allocations below 1 GPU do not exist.
-func fairStepDown(alloc, trials int) (int, bool) {
-	return fairFloor(alloc-1, trials)
 }
 
 // fairFloor returns the largest allocation v <= max that divides trials
@@ -482,6 +517,17 @@ func fairFloor(max, trials int) (int, bool) {
 		}
 	}
 	return best, true
+}
+
+// fairCeil returns the smallest allocation v in [min, max] that is a
+// factor or multiple of trials, and whether one exists.
+func fairCeil(min, trials, max int) (int, bool) {
+	for v := min; v <= max; v++ {
+		if v%trials == 0 || trials%v == 0 {
+			return v, true
+		}
+	}
+	return 0, false
 }
 
 // MemoLen reports the number of distinct plans the search has simulated so

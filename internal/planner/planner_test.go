@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -32,6 +33,23 @@ func resnetSim(t *testing.T, s *spec.ExperimentSpec, samples int, seed uint64) *
 	return sm
 }
 
+// fairStep returns the plain fair step neighbours proposes for a
+// one-stage plan of alloc GPUs shared by trials trials, with the instance
+// step off: down, or up within max. ok is false when there is none.
+func fairStep(t testing.TB, alloc, trials, max int, up bool) (int, bool) {
+	t.Helper()
+	cands := neighbours(sim.NewPlan(alloc), spec.Empty().AddStage(trials, 1), 0, up, max)
+	switch len(cands) {
+	case 0:
+		return 0, false
+	case 1:
+		return cands[0].Alloc[0], true
+	}
+	t.Fatalf("neighbours(%d, trials %d, no instance step) = %v, want at most one step", alloc, trials, cands)
+	return 0, false
+}
+
+// TestFairStepDown checks neighbours' plain downward step.
 func TestFairStepDown(t *testing.T) {
 	cases := []struct {
 		alloc, trials int
@@ -50,18 +68,20 @@ func TestFairStepDown(t *testing.T) {
 		{2, 1, 1, true}, // everything divides 1
 	}
 	for _, c := range cases {
-		got, ok := fairStepDown(c.alloc, c.trials)
+		got, ok := fairStep(t, c.alloc, c.trials, 64, false)
 		if got != c.want || ok != c.ok {
-			t.Errorf("fairStepDown(%d,%d) = (%d,%v), want (%d,%v)",
+			t.Errorf("step down from (%d,%d) = (%d,%v), want (%d,%v)",
 				c.alloc, c.trials, got, ok, c.want, c.ok)
 		}
 	}
 }
 
+// TestGenerateCandidates checks the downward neighbour set of a two-stage
+// plan.
 func TestGenerateCandidates(t *testing.T) {
 	s := spec.Empty().AddStage(4, 10).AddStage(2, 20)
 	cur := sim.NewPlan(8, 4)
-	cands := generateCandidates(cur, s, 4)
+	cands := neighbours(cur, s, 4, false, 64)
 	if len(cands) != 2 {
 		t.Fatalf("got %d candidates", len(cands))
 	}
@@ -73,24 +93,27 @@ func TestGenerateCandidates(t *testing.T) {
 		t.Errorf("candidate 1 = %v", cands[1])
 	}
 	// Floor plan yields no candidates.
-	if got := generateCandidates(sim.NewPlan(1, 1), s, 4); len(got) != 0 {
+	if got := neighbours(sim.NewPlan(1, 1), s, 4, false, 64); len(got) != 0 {
 		t.Errorf("floor plan produced candidates: %v", got)
 	}
 }
 
+// TestMarginalBenefit checks Equation 1: goal.benefit under the cost
+// goal.
 func TestMarginalBenefit(t *testing.T) {
+	g := goal{bound: 1000}
 	cur := sim.Estimate{JCT: 100, Cost: 50}
 	// Cheaper and slower: finite positive benefit.
-	b := marginalBenefit(cur, sim.Estimate{JCT: 120, Cost: 40})
+	b := g.benefit(cur, sim.Estimate{JCT: 120, Cost: 40})
 	if math.Abs(b-0.5) > 1e-12 {
 		t.Errorf("benefit = %v, want 0.5", b)
 	}
 	// Cheaper and faster: infinitely good.
-	if b := marginalBenefit(cur, sim.Estimate{JCT: 90, Cost: 40}); !math.IsInf(b, 1) {
+	if b := g.benefit(cur, sim.Estimate{JCT: 90, Cost: 40}); !math.IsInf(b, 1) {
 		t.Errorf("benefit = %v, want +inf", b)
 	}
 	// More expensive: infinitely bad.
-	if b := marginalBenefit(cur, sim.Estimate{JCT: 120, Cost: 60}); !math.IsInf(b, -1) {
+	if b := g.benefit(cur, sim.Estimate{JCT: 120, Cost: 60}); !math.IsInf(b, -1) {
 		t.Errorf("benefit = %v, want -inf", b)
 	}
 }
@@ -103,6 +126,23 @@ func TestPlannerValidate(t *testing.T) {
 	p.Sim = resnetSim(t, spec.MustSHA(8, 2, 8, 2), 3, 1)
 	if _, err := p.PlanStatic(); err == nil {
 		t.Error("zero deadline accepted")
+	}
+	// A NaN deadline is an input error, not an infeasible search.
+	p.Deadline = math.NaN()
+	for name, plan := range map[string]func() (Result, error){
+		"static":  p.PlanStatic,
+		"naive":   p.PlanNaiveElastic,
+		"elastic": p.PlanElastic,
+		"minjct":  func() (Result, error) { return p.PlanMinJCT(10) },
+	} {
+		if _, err := plan(); err == nil || errors.Is(err, ErrInfeasible) {
+			t.Errorf("%s: NaN deadline gave err %v, want an input error", name, err)
+		}
+	}
+	// +Inf is a valid, unbounded deadline.
+	p.Deadline = math.Inf(1)
+	if _, err := p.PlanStatic(); err != nil {
+		t.Errorf("+Inf deadline: %v", err)
 	}
 }
 
@@ -258,7 +298,7 @@ func TestQuickCandidatesWellFormed(t *testing.T) {
 			alloc[i] = int(raw[i]%64) + 1
 		}
 		cur := sim.Plan{Alloc: alloc}
-		for _, cand := range generateCandidates(cur, s, 4) {
+		for _, cand := range neighbours(cur, s, 4, false, 64) {
 			diff := 0
 			for i := range cand.Alloc {
 				if cand.Alloc[i] != cur.Alloc[i] {

@@ -41,17 +41,17 @@ func TestQuickFairFloor(t *testing.T) {
 	}
 }
 
-// TestQuickFairStepDown: the step-down is strictly below the current
-// allocation, fair, maximal, and never drops below 1 GPU; alloc = 1 has no
-// step-down.
+// TestQuickFairStepDown: neighbours' plain step-down is strictly below
+// the current allocation, fair, maximal, and never drops below 1 GPU;
+// alloc = 1 has no step-down.
 func TestQuickFairStepDown(t *testing.T) {
-	if _, ok := fairStepDown(1, 5); ok {
-		t.Error("fairStepDown(1, _) produced a value below 1 GPU")
+	if _, ok := fairStep(t, 1, 5, 512, false); ok {
+		t.Error("step down from 1 GPU produced a value below 1 GPU")
 	}
 	f := func(allocRaw uint16, trialsRaw uint8) bool {
 		alloc := int(allocRaw%511) + 2 // >= 2 so a step-down exists
 		trials := int(trialsRaw%64) + 1
-		v, ok := fairStepDown(alloc, trials)
+		v, ok := fairStep(t, alloc, trials, 512, false)
 		if !ok {
 			return false
 		}
@@ -81,11 +81,11 @@ func quickSpec(t *testing.T, nRaw uint8) *spec.ExperimentSpec {
 	return s
 }
 
-// TestQuickGenerateCandidatesInvariants: every candidate (a) keeps the
-// plan's stage count, (b) changes exactly one stage, (c) strictly
-// decreases that stage — so candidates can never exceed the search cap the
-// current plan respects — (d) stays >= 1 GPU, and (e) lands on a fair
-// allocation for the stage's trial count.
+// TestQuickGenerateCandidatesInvariants: every downward neighbour (a)
+// keeps the plan's stage count, (b) changes exactly one stage, (c)
+// strictly decreases that stage — so candidates can never exceed the
+// search cap the current plan respects — (d) stays >= 1 GPU, and (e)
+// lands on a fair allocation for the stage's trial count.
 func TestQuickGenerateCandidatesInvariants(t *testing.T) {
 	const maxGPUs = 64
 	f := func(nRaw uint8, allocRaw [8]uint16, gpnRaw uint8) bool {
@@ -95,7 +95,7 @@ func TestQuickGenerateCandidatesInvariants(t *testing.T) {
 		for i := range cur.Alloc {
 			cur.Alloc[i] = int(allocRaw[i%len(allocRaw)]%maxGPUs) + 1
 		}
-		for _, cand := range generateCandidates(cur, sp, gpn) {
+		for _, cand := range neighbours(cur, sp, gpn, false, maxGPUs) {
 			if len(cand.Alloc) != len(cur.Alloc) {
 				return false
 			}
@@ -137,7 +137,7 @@ func TestQuickGenerateCandidatesInstanceStep(t *testing.T) {
 		for i := range cur.Alloc {
 			cur.Alloc[i] = int(allocRaw[i%len(allocRaw)]%64) + 1
 		}
-		cands := generateCandidates(cur, sp, gpn)
+		cands := neighbours(cur, sp, gpn, false, 64)
 		for i := range cur.Alloc {
 			curInstances := (cur.Alloc[i] + gpn - 1) / gpn
 			if curInstances <= 1 {
@@ -158,6 +158,32 @@ func TestQuickGenerateCandidatesInstanceStep(t *testing.T) {
 			}
 			if !released {
 				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestQuickNeighboursDistinct: in either direction no two neighbours are
+// the same plan, so the per-stage duplicate check in neighbours is the
+// only one the search needs.
+func TestQuickNeighboursDistinct(t *testing.T) {
+	f := func(nRaw uint8, allocRaw [8]uint16, gpnRaw uint8, up bool) bool {
+		sp := quickSpec(t, nRaw)
+		gpn := int(gpnRaw % 9)
+		cur := sim.Plan{Alloc: make([]int, sp.NumStages())}
+		for i := range cur.Alloc {
+			cur.Alloc[i] = int(allocRaw[i%len(allocRaw)]%64) + 1
+		}
+		cands := neighbours(cur, sp, gpn, up, 64)
+		for i := range cands {
+			for j := i + 1; j < len(cands); j++ {
+				if cands[i].Equal(cands[j]) {
+					return false
+				}
 			}
 		}
 		return true

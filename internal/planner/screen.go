@@ -92,17 +92,24 @@ func (s *frontierScreen) costMargin(e sim.Estimate) float64 {
 	return pruneKappa*e.CostStd/s.sqrtN + pruneBias*e.Cost
 }
 
+// split returns e's objective and constrained values under g, each
+// with its safety margin.
+func (s *frontierScreen) split(g goal, e sim.Estimate) (obj, objM, con, conM float64) {
+	if g.minJCT {
+		return e.JCT, s.jctMargin(e), e.Cost, s.costMargin(e)
+	}
+	return e.Cost, s.costMargin(e), e.JCT, s.jctMargin(e)
+}
+
 // pruneEnumeration analytically prunes a one-dimensional enumeration
 // frontier in place, clearing keep[i] for candidates that provably cannot
-// win: minimize cost subject to JCT ≤ bound when objJCT is false (the
-// static warm-start enumeration), minimize JCT subject to cost ≤ bound
-// when true (the budgeted dual). A candidate is dropped when it is surely
-// infeasible (constraint minus margin past the bound) or surely dominated
+// be g's best. A candidate is dropped when it is surely infeasible
+// (constraint minus margin past the bound) or surely dominated
 // (objective minus margin above the best surely-feasible candidate's
 // objective plus margin). At least shortlistK survivors are kept — the
 // cheapest dropped candidates by analytic objective are restored — so the
 // Monte-Carlo phase always sees a frontier even under aggressive margins.
-func (p *Planner) pruneEnumeration(scr *frontierScreen, cands []sim.Plan, keep []bool, bound float64, objJCT bool) {
+func (p *Planner) pruneEnumeration(scr *frontierScreen, cands []sim.Plan, keep []bool, g goal) {
 	if scr == nil || !p.worthScreening(keep) {
 		return
 	}
@@ -114,12 +121,6 @@ func (p *Planner) pruneEnumeration(scr *frontierScreen, cands []sim.Plan, keep [
 			aests[i], aok[i] = scr.score(cands[i])
 		}
 	}
-	split := func(e sim.Estimate) (obj, objM, con, conM float64) {
-		if objJCT {
-			return e.JCT, scr.jctMargin(e), e.Cost, scr.costMargin(e)
-		}
-		return e.Cost, scr.costMargin(e), e.JCT, scr.jctMargin(e)
-	}
 	// Upper bound on the optimum: the best surely-feasible candidate's
 	// objective, overestimated by its own margin.
 	bestUp := math.Inf(1)
@@ -127,8 +128,8 @@ func (p *Planner) pruneEnumeration(scr *frontierScreen, cands []sim.Plan, keep [
 		if !keep[i] || !aok[i] {
 			continue
 		}
-		obj, objM, con, conM := split(aests[i])
-		if con+conM <= bound && obj+objM < bestUp {
+		obj, objM, con, conM := scr.split(g, aests[i])
+		if con+conM <= g.bound && obj+objM < bestUp {
 			bestUp = obj + objM
 		}
 	}
@@ -137,47 +138,37 @@ func (p *Planner) pruneEnumeration(scr *frontierScreen, cands []sim.Plan, keep [
 		if !keep[i] || !aok[i] {
 			continue
 		}
-		obj, objM, con, conM := split(aests[i])
-		if con-conM > bound || obj-objM > bestUp {
+		obj, objM, con, conM := scr.split(g, aests[i])
+		if con-conM > g.bound || obj-objM > bestUp {
 			keep[i] = false
 			dropped = append(dropped, i)
 		}
 	}
-	p.restoreShortlist(keep, dropped, func(i int) float64 { obj, _, _, _ := split(aests[i]); return obj })
+	p.restoreShortlist(keep, dropped, func(i int) float64 { obj, _ := g.split(aests[i]); return obj })
 }
 
 // pruneDescentStep analytically prunes one greedy candidate set in place:
-// a candidate whose JCT surely violates the deadline, or whose cost is
-// surely no better than the current plan's, can never be the selected
-// step (its benefit is −Inf, unselectable, and a sub-Delta improvement
-// terminates the descent identically). minimize=true mirrors the dual
-// ascent, where the roles of cost and JCT swap: the constraint is the
-// budget and a candidate surely not faster than the current plan is
-// unselectable.
+// a candidate whose constrained value surely breaks g's bound, or whose
+// objective is surely no better than the current plan's, can never be the
+// selected step (its benefit is −Inf, unselectable, and a sub-minGain
+// improvement ends the search identically).
 //
 // Unlike the enumeration prune, no shortlist is restored: the descent
 // needs no minimum frontier (an empty survivor set simply terminates the
 // step, exactly as the exhaustive search would after estimating and
 // rejecting every candidate), so every margin-certified drop converts
 // directly into a skipped Monte-Carlo evaluation.
-func (p *Planner) pruneDescentStep(scr *frontierScreen, cands []sim.Plan, keep []bool, cur Result, bound float64, minimizeJCT bool) {
+func (p *Planner) pruneDescentStep(scr *frontierScreen, cands []sim.Plan, keep []bool, cur Result, g goal) {
 	if scr == nil {
 		return
 	}
+	curObj, _ := g.split(cur.Estimate)
 	for i := range cands {
 		est, ok := scr.score(cands[i])
 		if !ok {
 			continue
 		}
-		var drop bool
-		if minimizeJCT {
-			drop = est.Cost-scr.costMargin(est) > bound ||
-				est.JCT-scr.jctMargin(est) >= cur.Estimate.JCT
-		} else {
-			drop = est.JCT-scr.jctMargin(est) > bound ||
-				est.Cost-scr.costMargin(est) >= cur.Estimate.Cost
-		}
-		if drop {
+		if obj, objM, con, conM := scr.split(g, est); con-conM > g.bound || obj-objM >= curObj {
 			keep[i] = false
 			atomic.AddInt64(&p.prunedCands, 1)
 		}
